@@ -1,30 +1,41 @@
-"""Sparse polynomial algebra over the commuting formal pair (z, zbar).
+"""Dense polynomial algebra over the commuting formal pair (z, zbar).
 
-A polynomial is stored as a map from exponent pairs ``(a, b)`` to complex
-coefficients, representing ``sum c[a,b] * z**a * zbar**b``.  The two symbols
-are treated as independent formal variables; evaluation substitutes
+A polynomial ``sum c[a,b] * z**a * zbar**b`` is stored as one 2-D complex
+array whose entry ``[a, b]`` is the coefficient of ``z**a * zbar**b``.  The two
+symbols are treated as independent formal variables; evaluation substitutes
 ``z = w, zbar = conj(w)``, so every polynomial defines a smooth function of
 one complex argument (equivalently of (x, y) with w = x + i*y).
 
 Conventions baked into the representation:
 
-- canonical form: no stored coefficient is exactly 0, so ``p == q`` is a plain
-  dict comparison; arithmetic never epsilon-prunes (use :meth:`PolyZZbar.prune`
-  for display),
-- ``degree`` is max(a + b) over stored terms, and -1 for the zero polynomial,
+- canonical form: the array is trimmed so that its last row and last column
+  each hold a nonzero entry, and the zero polynomial has shape (0, 0); so
+  ``p == q`` compares shapes and entries exactly, and arithmetic never
+  epsilon-prunes (use :meth:`PolyZZbar.prune` for display),
+- absent terms are stored as +0: negation, conjugation and scalar products act
+  on the nonzero entries only, and a sum keeps a term of the left operand that
+  the right one lacks unchanged, so signed zeros in the printed coefficients
+  are those of a term-by-term computation,
+- ``terms`` is a read-only map from ``(a, b)`` to the nonzero coefficients,
+  built from the array on first use and cached; its order, and the JSON form,
+  are ascending in ``(a, b)``,
+- ``degree`` is max(a + b) over nonzero terms, and -1 for the zero polynomial,
+- the product is the 2-D convolution of the coefficient arrays, summed
+  directly (no FFT), so products of Gaussian-integer polynomials are exact,
 - the Wirtinger derivatives act formally: d/dz lowers ``a`` (zbar held fixed),
   d/dzbar lowers ``b``,
 - ``conjugate`` represents the pointwise complex conjugate of the function:
-  it swaps (a, b) -> (b, a) and conjugates coefficients, so
+  it transposes the array and conjugates it, so
   ``conjugate(p).eval(w) == conj(p.eval(w))``.
 
 :class:`PolyWWbar` generalizes to n complex slots (w_1, wbar_1, ..., w_n,
-wbar_n); it exists to express outer functions F for composition
-F(phi_1, ..., phi_n), and :func:`compose` maps such an F together with a
-vector of (z, zbar)-polynomials back into a single (z, zbar)-polynomial.
+wbar_n) with a sparse map of exponent tuples; it exists to express outer
+functions F for composition F(phi_1, ..., phi_n), and :func:`compose` maps
+such an F together with a vector of (z, zbar)-polynomials back into a single
+(z, zbar)-polynomial.
 
-All values are immutable after construction and safe to share across threads;
-every operation returns a new object.
+All values are immutable after construction (arrays are stored read-only) and
+safe to share across threads; every operation returns a new object.
 """
 
 from __future__ import annotations
@@ -37,84 +48,141 @@ import numpy as np
 
 Scalar = Union[int, float, complex]
 
+_EMPTY = np.zeros((0, 0), dtype=complex)
+_EMPTY.setflags(write=False)
 
-def _canonical(terms: Mapping[tuple[int, int], complex]) -> dict[tuple[int, int], complex]:
-    out: dict[tuple[int, int], complex] = {}
-    for (a, b), c in terms.items():
-        if a < 0 or b < 0:
-            raise ValueError(f"exponents must be nonnegative, got {(a, b)}")
-        c = complex(c)
-        if c != 0:
-            out[(int(a), int(b))] = c
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    """Drop trailing all-zero rows and columns; (0, 0) when nothing is left."""
+    if c.size and np.count_nonzero(c[-1]) and np.count_nonzero(c[:, -1]):
+        return c
+    rows, cols = np.nonzero(c)
+    if not rows.size:
+        return _EMPTY
+    return c[: rows.max() + 1, : cols.max() + 1]
+
+
+def _on_nonzero(ufunc: np.ufunc, c: np.ndarray, *args) -> np.ndarray:
+    """``ufunc(c, *args)`` on the nonzero entries of c; the others stay +0."""
+    return ufunc(c, *args, out=np.zeros_like(c), where=c != 0)
+
+
+def _pad(c: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """c zero-padded at the high end to ``shape``."""
+    if c.shape == shape:
+        return c
+    out = np.zeros(shape, dtype=complex)
+    out[: c.shape[0], : c.shape[1]] = c
     return out
 
 
 class PolyZZbar:
     """Polynomial in (z, zbar) with complex double coefficients."""
 
-    __slots__ = ("_terms", "_dense")
+    __slots__ = ("_c", "_terms")
 
     def __init__(self, terms: Mapping[tuple[int, int], complex] | None = None):
-        self._terms = MappingProxyType(_canonical(terms or {}))
-        self._dense: np.ndarray | None = None  # lazy eval table, not part of identity
+        entries = []
+        for (a, b), c in (terms or {}).items():
+            if a < 0 or b < 0:
+                raise ValueError(f"exponents must be nonnegative, got {(a, b)}")
+            c = complex(c)
+            if c != 0:
+                entries.append((int(a), int(b), c))
+        if entries:
+            c = np.zeros(
+                (max(e[0] for e in entries) + 1, max(e[1] for e in entries) + 1),
+                dtype=complex,
+            )
+            for a, b, v in entries:
+                c[a, b] = v
+            c.setflags(write=False)
+        else:
+            c = _EMPTY
+        self._c = c
+        self._terms: Mapping[tuple[int, int], complex] | None = None
+
+    @classmethod
+    def _wrap(cls, c: np.ndarray) -> "PolyZZbar":
+        """A polynomial around an already trimmed complex array (not copied)."""
+        obj = object.__new__(cls)
+        c.setflags(write=False)
+        obj._c = c
+        obj._terms = None
+        return obj
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "PolyZZbar":
-        return cls({})
+        return cls._wrap(_EMPTY)
 
     @classmethod
     def constant(cls, c: Scalar) -> "PolyZZbar":
-        return cls({(0, 0): complex(c)})
+        return cls.monomial(0, 0, c)
 
     @classmethod
     def z(cls) -> "PolyZZbar":
-        return cls({(1, 0): 1.0})
+        return cls.monomial(1, 0)
 
     @classmethod
     def zbar(cls) -> "PolyZZbar":
-        return cls({(0, 1): 1.0})
+        return cls.monomial(0, 1)
 
     @classmethod
     def monomial(cls, a: int, b: int, c: Scalar = 1.0) -> "PolyZZbar":
-        return cls({(a, b): complex(c)})
+        if a < 0 or b < 0:
+            raise ValueError(f"exponents must be nonnegative, got {(a, b)}")
+        c = complex(c)
+        if c == 0:
+            return cls._wrap(_EMPTY)
+        arr = np.zeros((int(a) + 1, int(b) + 1), dtype=complex)
+        arr[-1, -1] = c
+        return cls._wrap(arr)
 
     # -- inspection ---------------------------------------------------------
 
     @property
     def terms(self) -> Mapping[tuple[int, int], complex]:
+        if self._terms is None:
+            rows, cols = np.nonzero(self._c)
+            self._terms = MappingProxyType(
+                dict(zip(zip(rows.tolist(), cols.tolist()), self._c[rows, cols].tolist()))
+            )
         return self._terms
 
     @property
     def degree(self) -> int:
-        if not self._terms:
+        if not self._c.size:
             return -1
-        return max(a + b for a, b in self._terms)
+        rows, cols = np.nonzero(self._c)
+        return int((rows + cols).max())
 
     def coeff(self, a: int, b: int) -> complex:
-        return self._terms.get((a, b), 0j)
+        if 0 <= a < self._c.shape[0] and 0 <= b < self._c.shape[1]:
+            return complex(self._c[a, b])
+        return 0j
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
+        return float(np.abs(self._c).max()) if self._c.size else 0.0
 
     def items_sorted(self) -> list[tuple[tuple[int, int], complex]]:
-        return sorted(self._terms.items())
+        return list(self.terms.items())
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._c.size)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PolyZZbar):
-            return dict(self._terms) == dict(other._terms)
+            return np.array_equal(self._c, other._c)
         if isinstance(other, (int, float, complex)):
             return self == PolyZZbar.constant(other)
         return NotImplemented
 
-    __hash__ = None  # mutable-dict semantics; not hashable
+    __hash__ = None  # equality is by value; not hashable
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._c.size:
             return "PolyZZbar(0)"
         parts = []
         for (a, b), c in self.items_sorted():
@@ -131,16 +199,19 @@ class PolyZZbar:
             other = PolyZZbar.constant(other)
         if not isinstance(other, PolyZZbar):
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0j) + c
-        return PolyZZbar(out)
+        x, y = self._c, other._c
+        out = np.zeros((max(x.shape[0], y.shape[0]), max(x.shape[1], y.shape[1])), dtype=complex)
+        out[: x.shape[0], : x.shape[1]] = x
+        overlap = out[: y.shape[0], : y.shape[1]]
+        # a term of self that other lacks is kept as is, signed zeros included
+        np.add(overlap, y, out=overlap, where=y != 0)
+        return PolyZZbar._wrap(_trim(out))
 
     def __radd__(self, other: Scalar) -> "PolyZZbar":
         return self + other
 
     def __neg__(self) -> "PolyZZbar":
-        return PolyZZbar({k: -c for k, c in self._terms.items()})
+        return PolyZZbar._wrap(_on_nonzero(np.negative, self._c))
 
     def __sub__(self, other: "PolyZZbar" | Scalar) -> "PolyZZbar":
         return self + (-other if isinstance(other, PolyZZbar) else -complex(other))
@@ -150,16 +221,20 @@ class PolyZZbar:
 
     def __mul__(self, other: "PolyZZbar" | Scalar) -> "PolyZZbar":
         if isinstance(other, (int, float, complex)):
-            c = complex(other)
-            return PolyZZbar({k: v * c for k, v in self._terms.items()})
+            return PolyZZbar._wrap(_trim(_on_nonzero(np.multiply, self._c, complex(other))))
         if not isinstance(other, PolyZZbar):
             return NotImplemented
-        out: dict[tuple[int, int], complex] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0j) + c1 * c2
-        return PolyZZbar(out)
+        x, y = self._c, other._c
+        if not x.size or not y.size:
+            return PolyZZbar._wrap(_EMPTY)
+        # Pad both to the product's row width; then the flat 1-D convolution
+        # lands [a1, b1] * [a2, b2] on flat index (a1 + a2) * width + b1 + b2.
+        rows = x.shape[0] + y.shape[0] - 1
+        width = x.shape[1] + y.shape[1] - 1
+        flat = np.convolve(
+            _pad(x, (x.shape[0], width)).ravel(), _pad(y, (y.shape[0], width)).ravel()
+        )
+        return PolyZZbar._wrap(_trim(flat[: rows * width].reshape(rows, width)))
 
     def __rmul__(self, other: Scalar) -> "PolyZZbar":
         return self * other
@@ -183,60 +258,57 @@ class PolyZZbar:
 
     def wirtinger_dz(self) -> "PolyZZbar":
         """Formal d/dz: (a, b) -> (a-1, b) with factor a; zbar held constant."""
-        return PolyZZbar(
-            {(a - 1, b): a * c for (a, b), c in self._terms.items() if a >= 1}
-        )
+        c = self._c
+        return PolyZZbar._wrap(_trim(c[1:] * np.arange(1, c.shape[0])[:, None]))
 
     def wirtinger_dzbar(self) -> "PolyZZbar":
         """Formal d/dzbar: (a, b) -> (a, b-1) with factor b; z held constant."""
-        return PolyZZbar(
-            {(a, b - 1): b * c for (a, b), c in self._terms.items() if b >= 1}
-        )
+        c = self._c
+        return PolyZZbar._wrap(_trim(c[:, 1:] * np.arange(1, c.shape[1])))
 
     def conjugate(self) -> "PolyZZbar":
         """Pointwise complex conjugate: swap exponents, conjugate coefficients."""
-        return PolyZZbar({(b, a): c.conjugate() for (a, b), c in self._terms.items()})
+        return PolyZZbar._wrap(_on_nonzero(np.conjugate, self._c.T))
 
     # -- evaluation ---------------------------------------------------------
-
-    def _dense_table(self) -> np.ndarray:
-        if self._dense is None:
-            amax = max((a for a, _ in self._terms), default=0)
-            bmax = max((b for _, b in self._terms), default=0)
-            table = np.zeros((amax + 1, bmax + 1), dtype=complex)
-            for (a, b), c in self._terms.items():
-                table[a, b] = c
-            self._dense = table
-        return self._dense
 
     def eval(self, w):
         """Evaluate at z = w, zbar = conj(w); w may be a scalar or ndarray.
 
-        Nested Horner accumulation over a dense coefficient table: the inner
-        loop runs Horner in conj(w) per z-power, the outer loop in w.
+        Nested Horner accumulation over the coefficient array: the inner loop
+        runs Horner in conj(w) along a row from its last nonzero entry down,
+        the outer loop in w over the rows.
         """
         scalar = np.isscalar(w) or isinstance(w, complex)
-        if not self._terms:
+        c = self._c
+        if not c.size:
             return 0j if scalar else np.zeros(np.shape(w), dtype=complex)
-        table = self._dense_table()
         wv = np.asarray(w, dtype=complex)
         wbar = np.conjugate(wv)
+        nonzero = c != 0
+        # each row's length up to its last nonzero entry, 0 for an all-zero row
+        lengths = np.where(
+            nonzero.any(axis=1), c.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0
+        )
         acc = np.zeros_like(wv)
-        for row in table[::-1]:
-            inner = np.zeros_like(wv)
-            for c in row[::-1]:
-                inner = inner * wbar + c
-            acc = acc * wv + inner
+        inner = np.empty_like(wv)
+        for row, n in zip(c[::-1], lengths[::-1].tolist()):
+            inner.fill(0)
+            for coef in row[n - 1 :: -1] if n else ():
+                inner *= wbar
+                inner += coef
+            acc *= wv
+            acc += inner
         return complex(acc) if scalar else acc
 
     # -- utilities ----------------------------------------------------------
 
     def prune(self, eps: float) -> "PolyZZbar":
         """Drop terms with |coeff| <= eps (display helper, not used in algebra)."""
-        return PolyZZbar({k: c for k, c in self._terms.items() if abs(c) > eps})
+        return PolyZZbar._wrap(_trim(np.where(np.abs(self._c) > eps, self._c, 0)))
 
     def map_coeffs(self, fn: Callable[[complex], complex]) -> "PolyZZbar":
-        return PolyZZbar({k: fn(c) for k, c in self._terms.items()})
+        return PolyZZbar({k: fn(c) for k, c in self.terms.items()})
 
     # -- serialization ------------------------------------------------------
 
@@ -397,19 +469,24 @@ class PolyWWbar:
         return PolyWWbar(self._n_slots, out)
 
     def eval(self, ws: Sequence) -> complex | np.ndarray:
-        """Evaluate at slot values ws (scalars or broadcastable arrays)."""
+        """Evaluate at slot values ws (scalars or broadcastable arrays).
+
+        Each power w_i**e and wbar_i**e that some term uses is computed once
+        and shared by every term, in the same arithmetic as ``w ** e``.
+        """
         if len(ws) != self._n_slots:
             raise ValueError("wrong number of slot values")
         ws = [np.asarray(w, dtype=complex) for w in ws]
-        wbars = [np.conjugate(w) for w in ws]
+        bases = [b for w in ws for b in (w, np.conjugate(w))]
+        powers: dict[tuple[int, int], np.ndarray] = {}
         acc: np.ndarray | complex = 0j
         for key, c in self._terms.items():
             term = np.asarray(c, dtype=complex)
-            for i in range(self._n_slots):
-                if key[2 * i]:
-                    term = term * ws[i] ** key[2 * i]
-                if key[2 * i + 1]:
-                    term = term * wbars[i] ** key[2 * i + 1]
+            for pos, e in enumerate(key):
+                if e:
+                    if (pos, e) not in powers:
+                        powers[pos, e] = bases[pos] ** e
+                    term = term * powers[pos, e]
             acc = acc + term
         if all(w.ndim == 0 for w in ws):
             return complex(acc)

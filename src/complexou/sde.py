@@ -167,6 +167,17 @@ def sample_euler(config: SimConfig, noise_factor: float = 1.0) -> PathEnsemble:
     return PathEnsemble(config, states)
 
 
+def _mean_and_se(vals: np.ndarray) -> tuple[complex, float]:
+    """Sample mean and its total standard error sqrt(E|v - mean|^2 / n), with
+    the unbiased variance estimate; the error is 0.0 for fewer than 2 samples."""
+    n = vals.size
+    mean = complex(vals.mean())
+    if n < 2:
+        return mean, 0.0
+    var = float(np.sum(np.abs(vals - mean) ** 2)) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
 def estimate_pt(ensemble: PathEnsemble, phi, t_index: int) -> tuple[complex, float]:
     """Monte Carlo estimate of P_t phi(x0) at grid index t_index.
 
@@ -174,13 +185,7 @@ def estimate_pt(ensemble: PathEnsemble, phi, t_index: int) -> tuple[complex, flo
     total one, sqrt(E|phi - mean|^2 / n) with the unbiased variance estimate,
     covering both real and imaginary coordinates jointly.
     """
-    vals = np.asarray(_eval_at(phi, ensemble.states[:, t_index]), dtype=complex)
-    n = vals.size
-    mean = complex(vals.mean())
-    if n < 2:
-        return mean, 0.0
-    var = float(np.sum(np.abs(vals - mean) ** 2)) / (n - 1)
-    return mean, math.sqrt(var / n)
+    return _mean_and_se(np.asarray(_eval_at(phi, ensemble.states[:, t_index]), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -206,17 +211,12 @@ class StationarityReport:
     passed: bool
 
 
-def _mean_and_se(vals: np.ndarray) -> tuple[complex, float]:
-    n = vals.size
-    mean = complex(vals.mean())
-    var = float(np.sum(np.abs(vals - mean) ** 2)) / (n - 1)
-    return mean, math.sqrt(var / n)
-
-
 def stationarity_check(
     params: GeneratorParams, n_paths: int, t_burn: float, seed: int
 ) -> StationarityReport:
     """Run to t_burn from 0 with the exact sampler and compare against gamma."""
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2 for standard errors, got {n_paths}")
     # the <= 1e-6 cutoff gets a few ulps of grace so t_burn = 6 ln(10)/cos(theta)
     # (the exact boundary) is accepted
     if math.exp(-t_burn * params.cos_theta) > 1e-6 * (1.0 + 1e-9):

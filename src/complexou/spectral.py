@@ -17,6 +17,8 @@ from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, float, complex]
 
+_ENTRY_KEYS = ("m", "n", "re", "im")
+
 
 class SpectralCoeffs:
     """Finite-support coefficient map (m, n) -> complex."""
@@ -105,13 +107,18 @@ class SpectralCoeffs:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> tuple["SpectralCoeffs", float | None]:
+        if not isinstance(obj, Mapping) or not isinstance(obj.get("coeffs"), list):
+            raise ValueError('coefficient input needs a "coeffs" list')
+        terms = {}
+        for t in obj["coeffs"]:
+            if not isinstance(t, Mapping) or any(k not in t for k in _ENTRY_KEYS):
+                raise ValueError(f"each coefficient needs the keys m, n, re, im; got {t!r}")
+            try:
+                terms[(int(t["m"]), int(t["n"]))] = complex(float(t["re"]), float(t["im"]))
+            except TypeError as exc:
+                raise ValueError(f"non-numeric coefficient entry {t!r}") from exc
+        coeffs = cls(terms)
         theta = obj.get("theta")
-        coeffs = cls(
-            {
-                (int(t["m"]), int(t["n"])): complex(float(t["re"]), float(t["im"]))
-                for t in obj["coeffs"]
-            }
-        )
         return coeffs, (float(theta) if theta is not None else None)
 
     def to_json(self, theta: float | None = None) -> str:

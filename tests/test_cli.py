@@ -261,6 +261,34 @@ class TestExitCodes:
         assert "error:" in err
 
 
+    def test_stationarity_needs_two_paths(self, capsys):
+        code, out, err = run_cli(capsys, "sde", "stationarity", "--theta", "0.3", "--paths", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "n_paths" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"coeffs": [{"m": 1, "n": 0, "re": 1.0}]},  # no "im"
+            {"theta": 0.0},  # no "coeffs"
+            {"coeffs": {"m": 1, "n": 0, "re": 1.0, "im": 0.0}},  # "coeffs" not a list
+            [{"m": 1, "re": 1.0, "im": 0.0}],  # bare list, entry without "n"
+            [3.0],  # bare list, entry not an object
+            [{"m": None, "n": 0, "re": 1.0, "im": 0.0}],  # index not a number
+        ],
+    )
+    def test_malformed_coefficient_file(self, capsys, tmp_path, content):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(content))
+        code, out, err = run_cli(
+            capsys, "semigroup", "apply", "--theta", "0", "--t", "1", "--input", str(f)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestVerifyAll:
     def test_umbrella_aggregates_all_suites(self, capsys):
         code, out, err = run_cli(capsys, "verify-all", "--paths", "2000", "--pretty")

@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complexou import PolyWWbar, PolyZZbar, complex_hermite, compose
 
@@ -54,6 +56,16 @@ class TestCanonicalForm:
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
             PolyZZbar({(-1, 0): 1.0})
+
+    def test_sum_keeps_signed_zeros_of_unmatched_terms(self):
+        # -(0.5 + 0j) is -0.5 - 0j.  A term only the left operand has is kept
+        # as is; one only the right operand has is added to 0j, as term-by-term
+        # accumulation does.
+        minus_half = -PolyZZbar.constant(0.5)
+        assert np.signbit((minus_half + Z).coeff(0, 0).imag)
+        assert not np.signbit((Z + minus_half).coeff(0, 0).imag)
+        assert not np.signbit((-(Z * ZBAR)).conjugate().coeff(1, 1).imag)
+        assert '"im":-0.0' in (minus_half + Z).to_json()
 
     def test_truthiness(self):
         assert not PolyZZbar.zero()
@@ -272,3 +284,130 @@ def test_prune_drops_small_terms_only():
     p = PolyZZbar({(1, 0): 1.0, (0, 1): 1e-14})
     assert p.prune(1e-12) == Z
     assert (1, 1) not in p.prune(0.0).terms
+
+
+# -- property tests of the dense coefficient kernel ----------------------------
+
+# Deterministic example generation and no example database, so every run of
+# the suite checks the same cases and writes nothing.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+gaussian_ints = st.builds(complex, st.integers(-5, 5), st.integers(-5, 5))
+
+
+def gaussian_polys(max_exponent=5, max_terms=10):
+    """Sparse polynomials with Gaussian-integer coefficients: every sum and
+    product of a few of them is exact in double precision."""
+    keys = st.tuples(st.integers(0, max_exponent), st.integers(0, max_exponent))
+    return st.dictionaries(keys, gaussian_ints, max_size=max_terms).map(PolyZZbar)
+
+
+def naive_product(p, q):
+    """The product as the double loop over both term maps (the oracle)."""
+    out = {}
+    for (a1, b1), c1 in p.terms.items():
+        for (a2, b2), c2 in q.terms.items():
+            out[(a1 + a2, b1 + b2)] = out.get((a1 + a2, b1 + b2), 0j) + c1 * c2
+    return PolyZZbar(out)
+
+
+def assert_canonical(p):
+    """Trimmed, read-only storage that agrees with the term map."""
+    c = p._c
+    assert not c.flags.writeable
+    if not p.terms:
+        assert c.shape == (0, 0)
+        return
+    assert c.shape == (max(a for a, _ in p.terms) + 1, max(b for _, b in p.terms) + 1)
+    assert all(c[a, b] == v for (a, b), v in p.terms.items())
+    assert np.count_nonzero(c) == len(p.terms)
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(gaussian_polys(), gaussian_polys())
+    def test_product_matches_double_loop(self, p, q):
+        prod = p * q
+        assert prod == naive_product(p, q)
+        assert_canonical(prod)
+
+    @PROPERTY
+    @given(gaussian_polys(3), gaussian_polys(3), gaussian_polys(3))
+    def test_ring_axioms(self, p, q, r):
+        zero, one = PolyZZbar.zero(), PolyZZbar.constant(1)
+        assert p + q == q + p
+        assert (p + q) + r == p + (q + r)
+        assert p * q == q * p
+        assert (p * q) * r == p * (q * r)
+        assert p * (q + r) == p * q + p * r
+        assert p + zero == p and p * one == p and p * zero == zero
+        assert p + (-p) == zero
+        for result in (p + q, p * q, -p, p * 2j):
+            assert_canonical(result)
+
+    @PROPERTY
+    @given(gaussian_polys(), gaussian_polys())
+    def test_leibniz_rule_both_derivatives(self, p, q):
+        for d in (PolyZZbar.wirtinger_dz, PolyZZbar.wirtinger_dzbar):
+            assert d(p * q) == d(p) * q + p * d(q)
+            assert_canonical(d(p))
+
+    @PROPERTY
+    @given(
+        gaussian_polys(),
+        st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)),
+    )
+    def test_conjugate_is_involution_and_conjugates_values(self, p, w):
+        assert p.conjugate().conjugate() == p
+        assert_canonical(p.conjugate())
+        # Gaussian-integer coefficients and point: both sides are exact
+        assert p.conjugate().eval(w) == p.eval(w).conjugate()
+
+    @PROPERTY
+    @given(
+        gaussian_polys(),
+        gaussian_polys(),
+        st.integers(0, 3),
+        st.builds(complex, st.integers(1, 5), st.integers(-5, 5)),
+    )
+    def test_exact_cancellation_trims(self, p, q, b, lead):
+        diff = p - p
+        assert diff == PolyZZbar.zero()
+        assert diff.degree == -1 and not diff
+        assert_canonical(diff)
+        # q has a term above p's degree; subtracting it again must trim back
+        q = q + PolyZZbar.monomial(p.degree + 1, b, lead)
+        back = (p + q) - q
+        assert back == p
+        assert back.degree == p.degree
+        assert_canonical(back)
+
+    @PROPERTY
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e300),
+            max_size=12,
+        ).map(PolyZZbar)
+    )
+    def test_json_roundtrip(self, p):
+        text = p.to_json()
+        assert PolyZZbar.from_json(text) == p
+        assert [(t["a"], t["b"]) for t in json.loads(text)] == sorted(p.terms)
+
+    @PROPERTY
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(lambda k: sum(k) <= 12),
+            st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)),
+            max_size=40,
+        ),
+        st.integers(0, 12),
+        st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
+    )
+    def test_degree_12_eval_matches_naive_sum(self, terms, a_top, w):
+        p = PolyZZbar(terms) + PolyZZbar.monomial(a_top, 12 - a_top, 1.0 - 0.5j)
+        assert p.degree == 12
+        naive = sum(c * w**a * w.conjugate() ** b for (a, b), c in p.terms.items())
+        scale = sum(abs(c) * abs(w) ** (a + b) for (a, b), c in p.terms.items())
+        assert abs(p.eval(w) - naive) <= 1e-12 * scale
