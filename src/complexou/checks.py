@@ -167,14 +167,7 @@ def check_transform(max_degree: int = 16) -> CheckReport:
     """forward @ inverse = I and unitarity of both, for every level <= max_degree."""
     worst = 0.0
     for level in range(max_degree + 1):
-        tr = hermite.build_basis_transform(level)
-        eye = np.eye(level + 1)
-        worst = max(
-            worst,
-            float(np.max(np.abs(tr.forward @ tr.inverse - eye))),
-            float(np.max(np.abs(tr.forward @ tr.forward.conj().T - eye))),
-            float(np.max(np.abs(tr.inverse @ tr.inverse.conj().T - eye))),
-        )
+        worst = max(worst, hermite.build_basis_transform(level).residual())
     return CheckReport(
         name="basis-transform",
         passed=worst <= 1e-10,
@@ -617,17 +610,10 @@ def check_stationarity(
     params = GeneratorParams(theta)
     t_burn = 6.0 * math.log(10.0) / params.cos_theta
     rep = sde.stationarity_check(params, n_paths, t_burn, seed)
-    ratios = (
-        abs(rep.mean) / (4.0 * rep.mean_se),
-        abs(rep.second_moment) / (4.0 * rep.second_moment_se),
-        abs(rep.abs_second_moment - 2.0) / (4.0 * rep.abs_second_moment_se),
-        rep.ks_real / rep.ks_threshold,
-        rep.ks_imag / rep.ks_threshold,
-    )
     return CheckReport(
         name="sde-stationarity",
         passed=rep.passed,
-        max_residual=float(max(ratios)),
+        max_residual=rep.max_ratio,
         tol=1.0,
         details={
             "theta": theta,

@@ -13,7 +13,6 @@ Polynomial arguments (--phi/--psi) use the little expression grammar from
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -96,18 +95,12 @@ def _cmd_hermite_orthonormality(args) -> dict:
 
 def _cmd_hermite_transform(args) -> dict:
     tr = hermite.build_basis_transform(args.degree)
-    eye = np.eye(args.degree + 1)
-    residual = max(
-        float(np.max(np.abs(tr.forward @ tr.inverse - eye))),
-        float(np.max(np.abs(tr.forward @ tr.forward.conj().T - eye))),
-        float(np.max(np.abs(tr.inverse @ tr.inverse.conj().T - eye))),
-    )
     tol = 1e-10 if args.tol is None else args.tol
     return _envelope(
         "hermite transform",
         {"degree": args.degree, "tol": tol},
         {"forward": _matrix_obj(tr.forward), "inverse": _matrix_obj(tr.inverse)},
-        max_residual=residual,
+        max_residual=tr.residual(),
         tol=tol,
     )
 
@@ -237,14 +230,26 @@ def _cmd_semigroup_invariance(args) -> dict:
 # -- sde -------------------------------------------------------------------------
 
 
+# Paths converted to Python floats at a time while writing the CSV, so memory
+# stays bounded for large ensembles.
+_CSV_BLOCK_PATHS = 64
+
+
 def _write_csv(path: str, ensemble: sde.PathEnsemble) -> None:
+    """(path_id, t, re, im) rows, floats as repr, in the layout of csv.writer's
+    default dialect (unquoted fields, CRLF line ends)."""
+    t_reprs = [repr(float(t)) for t in ensemble.config.t_grid]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "t", "re", "im"])
-        for i in range(ensemble.config.n_paths):
-            for k, t in enumerate(ensemble.config.t_grid):
-                state = complex(ensemble.states[i, k])
-                writer.writerow([i, repr(float(t)), repr(state.real), repr(state.imag)])
+        fh.write("path_id,t,re,im\r\n")
+        for start in range(0, ensemble.config.n_paths, _CSV_BLOCK_PATHS):
+            block = ensemble.states[start : start + _CSV_BLOCK_PATHS]
+            fh.writelines(
+                f"{i},{t},{re!r},{im!r}\r\n"
+                for i, row_re, row_im in zip(
+                    range(start, start + len(block)), block.real.tolist(), block.imag.tolist()
+                )
+                for t, re, im in zip(t_reprs, row_re, row_im)
+            )
 
 
 def _cmd_sde_simulate(args) -> dict:
@@ -299,13 +304,6 @@ def _cmd_sde_stationarity(args) -> dict:
     params = GeneratorParams(args.theta)
     t_burn = args.t_burn if args.t_burn is not None else 6.0 * math.log(10.0) / params.cos_theta
     rep = sde.stationarity_check(params, args.paths, t_burn, args.seed)
-    ratios = (
-        abs(rep.mean) / (4.0 * rep.mean_se),
-        abs(rep.second_moment) / (4.0 * rep.second_moment_se),
-        abs(rep.abs_second_moment - 2.0) / (4.0 * rep.abs_second_moment_se),
-        rep.ks_real / rep.ks_threshold,
-        rep.ks_imag / rep.ks_threshold,
-    )
     tol = 1.0 if args.tol is None else args.tol
     return _envelope(
         "sde stationarity",
@@ -321,10 +319,10 @@ def _cmd_sde_stationarity(args) -> dict:
             "ks_imag": rep.ks_imag,
             "ks_threshold": rep.ks_threshold,
         },
-        max_residual=max(ratios),
+        max_residual=rep.max_ratio,
         tol=tol,
         seed=args.seed,
-        passed=rep.passed if args.tol is None else max(ratios) <= args.tol,
+        passed=rep.passed if args.tol is None else rep.max_ratio <= args.tol,
     )
 
 
@@ -359,6 +357,17 @@ def _add_common(parser, *, tol=False, seed=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the whole command tree."""
+    return _build_parser()
+
+
+def _build_parser(words=None) -> argparse.ArgumentParser | None:
+    """The parser of the whole tree, or with ``words``, the first two words of a
+    command line, of the one branch they name (None if they name no command).
+
+    argparse formats a command's usage, help and errors from its own branch, so
+    a parse through the branch alone reads and prints what the whole tree does.
+    """
     parser = argparse.ArgumentParser(
         prog="complexou",
         description="Complex Ornstein-Uhlenbeck operator toolkit: eigenbasis, "
@@ -367,123 +376,136 @@ def build_parser() -> argparse.ArgumentParser:
         'e.g. "z*zbar - 2" or "(1+i)*z^2".',
     )
     top = parser.add_subparsers(dest="group", required=True, metavar="COMMAND")
+    leaves = 0
 
-    her = top.add_parser("hermite", help="eigenbasis polynomials and transforms")
-    hsub = her.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
+    def selected(name, depth):
+        return words is None or words[depth : depth + 1] == [name]
 
-    p = hsub.add_parser("show", help="print one basis polynomial as JSON")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--route", choices=("explicit", "creation"), default="explicit")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_hermite_show)
+    def group(name, help):
+        if not selected(name, 0):
+            return None
+        sub = top.add_parser(name, help=help)
+        return sub.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
 
-    p = hsub.add_parser("orthonormality", help="Gram matrix vs identity under quadrature")
-    p.add_argument("--max-degree", type=int, default=10)
-    p.add_argument("--order", type=int, default=12)
-    _add_common(p, tol=True)
-    p.set_defaults(handler=_cmd_hermite_orthonormality)
+    def command(sub, name, help):
+        nonlocal leaves
+        if sub is None or not selected(name, 0 if sub is top else 1):
+            return None
+        leaves += 1
+        return sub.add_parser(name, help=help)
 
-    p = hsub.add_parser("transform", help="level-l change of basis matrices and residuals")
-    p.add_argument("--degree", type=int, required=True)
-    _add_common(p, tol=True)
-    p.set_defaults(handler=_cmd_hermite_transform)
+    hsub = group("hermite", "eigenbasis polynomials and transforms")
 
-    p = hsub.add_parser("roundtrip", help="project/synthesize round trip residual")
-    p.add_argument("--max-degree", type=int, default=10)
-    _add_common(p, tol=True)
-    p.set_defaults(handler=_cmd_hermite_roundtrip)
+    if p := command(hsub, "show", "print one basis polynomial as JSON"):
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--route", choices=("explicit", "creation"), default="explicit")
+        _add_common(p)
+        p.set_defaults(handler=_cmd_hermite_show)
 
-    op = top.add_parser("operator", help="generator, carre du champ, chain rule")
-    osub = op.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
+    if p := command(hsub, "orthonormality", "Gram matrix vs identity under quadrature"):
+        p.add_argument("--max-degree", type=int, default=10)
+        p.add_argument("--order", type=int, default=12)
+        _add_common(p, tol=True)
+        p.set_defaults(handler=_cmd_hermite_orthonormality)
 
-    p = osub.add_parser("eigen", help="eigenvalue lambda[m,n] of the generator")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_operator_eigen)
+    if p := command(hsub, "transform", "level-l change of basis matrices and residuals"):
+        p.add_argument("--degree", type=int, required=True)
+        _add_common(p, tol=True)
+        p.set_defaults(handler=_cmd_hermite_transform)
 
-    p = osub.add_parser("gamma", help="carre du champ of two polynomial literals")
-    p.add_argument("--phi", type=str, required=True)
-    p.add_argument("--psi", type=str, default=None, help="defaults to --phi")
-    p.add_argument("--theta", type=float, default=0.0, help="angle for the generator route")
-    _add_common(p, tol=True)
-    p.set_defaults(handler=_cmd_operator_gamma)
+    if p := command(hsub, "roundtrip", "project/synthesize round trip residual"):
+        p.add_argument("--max-degree", type=int, default=10)
+        _add_common(p, tol=True)
+        p.set_defaults(handler=_cmd_hermite_roundtrip)
 
-    p = osub.add_parser("chain-rule", help="second-order chain rule residual suite")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--degree", type=int, default=3, help="inner polynomial degree")
-    p.add_argument("--cases", type=int, default=100)
-    _add_common(p, tol=True, seed=True)
-    p.set_defaults(handler=_cmd_operator_chain_rule)
+    osub = group("operator", "generator, carre du champ, chain rule")
 
-    p = osub.add_parser("normality", help="L L* = L* L on random polynomials")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--degree", type=int, default=6)
-    _add_common(p, tol=True, seed=True)
-    p.set_defaults(handler=_cmd_operator_normality)
+    if p := command(osub, "eigen", "eigenvalue lambda[m,n] of the generator"):
+        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        _add_common(p)
+        p.set_defaults(handler=_cmd_operator_eigen)
 
-    sem = top.add_parser("semigroup", help="P_t in spectral and Mehler form")
-    ssub = sem.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
+    if p := command(osub, "gamma", "carre du champ of two polynomial literals"):
+        p.add_argument("--phi", type=str, required=True)
+        p.add_argument("--psi", type=str, default=None, help="defaults to --phi")
+        p.add_argument("--theta", type=float, default=0.0, help="angle for the generator route")
+        _add_common(p, tol=True)
+        p.set_defaults(handler=_cmd_operator_gamma)
 
-    p = ssub.add_parser("apply", help="apply the spectral multiplier to coefficients")
-    p.add_argument("--theta", type=float, default=None, help="overrides the input file's theta")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--input", type=str, required=True, help="coefficients JSON ('-' for stdin)")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_semigroup_apply)
+    if p := command(osub, "chain-rule", "second-order chain rule residual suite"):
+        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--degree", type=int, default=3, help="inner polynomial degree")
+        p.add_argument("--cases", type=int, default=100)
+        _add_common(p, tol=True, seed=True)
+        p.set_defaults(handler=_cmd_operator_chain_rule)
 
-    p = ssub.add_parser("verify-normal", help="commutation and fused-form residuals")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--degree", type=int, default=5)
-    p.add_argument("--points", type=int, default=5)
-    _add_common(p, tol=True, seed=True)
-    p.set_defaults(handler=_cmd_semigroup_verify_normal)
+    if p := command(osub, "normality", "L L* = L* L on random polynomials"):
+        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--degree", type=int, default=6)
+        _add_common(p, tol=True, seed=True)
+        p.set_defaults(handler=_cmd_operator_normality)
 
-    p = ssub.add_parser("invariance", help="gamma-invariance residual suite")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--degree", type=int, default=8)
-    _add_common(p, tol=True, seed=True)
-    p.set_defaults(handler=_cmd_semigroup_invariance)
+    ssub = group("semigroup", "P_t in spectral and Mehler form")
 
-    sd = top.add_parser("sde", help="Monte Carlo simulation of the SDE")
-    sdsub = sd.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
+    if p := command(ssub, "apply", "apply the spectral multiplier to coefficients"):
+        p.add_argument("--theta", type=float, default=None, help="overrides the input file's theta")
+        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--input", type=str, required=True, help="coefficients JSON ('-' for stdin)")
+        _add_common(p)
+        p.set_defaults(handler=_cmd_semigroup_apply)
 
-    p = sdsub.add_parser("simulate", help="sample paths; JSON moments, optional CSV")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--x0-re", type=float, default=0.0)
-    p.add_argument("--x0-im", type=float, default=0.0)
-    p.add_argument("--t", type=float, nargs="+", required=True, help="recording times (> 0)")
-    p.add_argument("--paths", type=int, required=True)
-    p.add_argument("--scheme", choices=sde.SCHEMES, default="exact")
-    p.add_argument("--dt", type=float, default=None, help="euler step (required for euler)")
-    p.add_argument("--csv", type=str, default=None, help="write (path_id,t,re,im) rows here")
-    _add_common(p, seed=True)
-    p.set_defaults(handler=_cmd_sde_simulate)
+    if p := command(ssub, "verify-normal", "commutation and fused-form residuals"):
+        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--degree", type=int, default=5)
+        p.add_argument("--points", type=int, default=5)
+        _add_common(p, tol=True, seed=True)
+        p.set_defaults(handler=_cmd_semigroup_verify_normal)
 
-    p = sdsub.add_parser("stationarity", help="long-run law vs the invariant Gaussian")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--paths", type=int, required=True)
-    p.add_argument("--t-burn", type=float, default=None, help="default: 6 ln10 / cos(theta)")
-    _add_common(p, tol=True, seed=True)
-    p.set_defaults(handler=_cmd_sde_stationarity)
+    if p := command(ssub, "invariance", "gamma-invariance residual suite"):
+        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--degree", type=int, default=8)
+        _add_common(p, tol=True, seed=True)
+        p.set_defaults(handler=_cmd_semigroup_invariance)
 
-    qd = top.add_parser("quad", help="Gauss-Hermite quadrature utilities")
-    qsub = qd.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-    p = qsub.add_parser("selftest", help="moment and orthonormality exactness checks")
-    p.add_argument("--order", type=int, default=12)
-    _add_common(p, tol=True)
-    p.set_defaults(handler=_cmd_quad_selftest)
+    sdsub = group("sde", "Monte Carlo simulation of the SDE")
 
-    p = top.add_parser("verify-all", help="run every verification suite and aggregate")
-    p.add_argument("--paths", type=int, default=200000, help="Monte Carlo path budget")
-    _add_common(p, seed=True)
-    p.set_defaults(handler=_cmd_verify_all, command=None)
+    if p := command(sdsub, "simulate", "sample paths; JSON moments, optional CSV"):
+        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--x0-re", type=float, default=0.0)
+        p.add_argument("--x0-im", type=float, default=0.0)
+        p.add_argument("--t", type=float, nargs="+", required=True, help="recording times (> 0)")
+        p.add_argument("--paths", type=int, required=True)
+        p.add_argument("--scheme", choices=sde.SCHEMES, default="exact")
+        p.add_argument("--dt", type=float, default=None, help="euler step (required for euler)")
+        p.add_argument("--csv", type=str, default=None, help="write (path_id,t,re,im) rows here")
+        _add_common(p, seed=True)
+        p.set_defaults(handler=_cmd_sde_simulate)
 
-    return parser
+    if p := command(sdsub, "stationarity", "long-run law vs the invariant Gaussian"):
+        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--paths", type=int, required=True)
+        p.add_argument("--t-burn", type=float, default=None, help="default: 6 ln10 / cos(theta)")
+        _add_common(p, tol=True, seed=True)
+        p.set_defaults(handler=_cmd_sde_stationarity)
+
+    qsub = group("quad", "Gauss-Hermite quadrature utilities")
+    if p := command(qsub, "selftest", "moment and orthonormality exactness checks"):
+        p.add_argument("--order", type=int, default=12)
+        _add_common(p, tol=True)
+        p.set_defaults(handler=_cmd_quad_selftest)
+
+    if p := command(top, "verify-all", "run every verification suite and aggregate"):
+        p.add_argument("--paths", type=int, default=200000, help="Monte Carlo path budget")
+        _add_common(p, seed=True)
+        p.set_defaults(handler=_cmd_verify_all, command=None)
+
+    return parser if leaves else None
+
 
 
 def _pretty(env: dict, stream) -> None:
@@ -511,7 +533,10 @@ def _pretty(env: dict, stream) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Building only the named command's branch costs a fraction of the whole
+    # tree; anything else (help, a missing or unknown command) gets the tree.
+    parser = _build_parser(argv[:2]) or build_parser()
     args = parser.parse_args(argv)
     try:
         env = args.handler(args)

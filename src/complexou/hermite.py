@@ -81,6 +81,15 @@ class BasisTransform:
     forward: np.ndarray
     inverse: np.ndarray
 
+    def residual(self) -> float:
+        """Worst entry of forward @ inverse - I and of both unitarity defects."""
+        eye = np.eye(self.degree + 1)
+        return max(
+            float(np.max(np.abs(self.forward @ self.inverse - eye))),
+            float(np.max(np.abs(self.forward @ self.forward.conj().T - eye))),
+            float(np.max(np.abs(self.inverse @ self.inverse.conj().T - eye))),
+        )
+
 
 def real_hermite(n: int) -> RealHermite:
     """Orthonormal real Hermite polynomial H_n by the three-term recurrence."""

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .poly import PolyZZbar, PolyWWbar, compose
+from .poly import MonomialTable, PolyZZbar, PolyWWbar, compose
 from .spectral import SpectralCoeffs
 
 # cos(theta) must stay strictly positive; reject angles where the diffusion
@@ -154,24 +154,27 @@ def chain_rule_sides(
     l_conj_phi = [apply_generator_wirtinger(params, p) for p in conj_phis]
     cos_t = params.cos_theta
 
+    # one table for every right-side composition; the left side composes on
+    # its own, so the two sides share no intermediate product
+    table = MonomialTable(phis)
     rhs = PolyZZbar.zero()
     for i in range(outer.n_slots):
         fz = outer.dslot(i)
         fzbar = outer.dslotbar(i)
         if fz:
-            rhs = rhs + l_phi[i] * compose(fz, phis)
+            rhs = rhs + l_phi[i] * table.compose(fz)
         if fzbar:
-            rhs = rhs + l_conj_phi[i] * compose(fzbar, phis)
+            rhs = rhs + l_conj_phi[i] * table.compose(fzbar)
         for j in range(outer.n_slots):
-            fzz = outer.dslot(i).dslot(j)
+            fzz = fz.dslot(j)
             if fzz:
-                rhs = rhs + cos_t * carre_du_champ(phis[i], conj_phis[j]) * compose(fzz, phis)
-            fbb = outer.dslotbar(i).dslotbar(j)
+                rhs = rhs + cos_t * carre_du_champ(phis[i], conj_phis[j]) * table.compose(fzz)
+            fbb = fzbar.dslotbar(j)
             if fbb:
-                rhs = rhs + cos_t * carre_du_champ(conj_phis[i], phis[j]) * compose(fbb, phis)
-            fzb = outer.dslot(i).dslotbar(j)
+                rhs = rhs + cos_t * carre_du_champ(conj_phis[i], phis[j]) * table.compose(fbb)
+            fzb = fz.dslotbar(j)
             if fzb:
-                rhs = rhs + 2.0 * cos_t * carre_du_champ(phis[i], phis[j]) * compose(fzb, phis)
+                rhs = rhs + 2.0 * cos_t * carre_du_champ(phis[i], phis[j]) * table.compose(fzb)
     return lhs, rhs
 
 

@@ -32,7 +32,8 @@ Conventions baked into the representation:
 wbar_n) with a sparse map of exponent tuples; it exists to express outer
 functions F for composition F(phi_1, ..., phi_n), and :func:`compose` maps
 such an F together with a vector of (z, zbar)-polynomials back into a single
-(z, zbar)-polynomial.
+(z, zbar)-polynomial.  :class:`MonomialTable` holds the powers and monomials
+of one inner vector, so several compositions over it build each only once.
 
 All values are immutable after construction (arrays are stored read-only) and
 safe to share across threads; every operation returns a new object.
@@ -493,48 +494,74 @@ class PolyWWbar:
         return acc
 
 
+class MonomialTable:
+    """Monomials of an inner vector (phi_1, conj phi_1, ..., phi_n, conj phi_n).
+
+    Each power of a phi_i or conj(phi_i) and each monomial
+    ``prod_pos base[pos] ** key[pos]`` is built once, on first use, and reused
+    by every composition through the same table.  A monomial is the one of its
+    key's prefix (trailing zeros dropped) times one power, so each new key
+    costs one product.
+    """
+
+    __slots__ = ("_bases", "_powers", "_monomials")
+
+    def __init__(self, inner: PolyZZbar | Sequence[PolyZZbar]):
+        phis = [inner] if isinstance(inner, PolyZZbar) else list(inner)
+        self._bases = [b for p in phis for b in (p, p.conjugate())]
+        # _powers[pos][e - 1] is base[pos] ** e
+        self._powers = [[b] for b in self._bases]
+        self._monomials = {(): PolyZZbar.constant(1.0)}
+
+    @property
+    def n_slots(self) -> int:
+        return len(self._bases) // 2
+
+    def _power(self, pos: int, e: int) -> PolyZZbar:
+        table = self._powers[pos]
+        while len(table) < e:
+            table.append(table[-1] * table[0])
+        return table[e - 1]
+
+    def _monomial(self, key: tuple[int, ...]) -> PolyZZbar:
+        while key and not key[-1]:
+            key = key[:-1]
+        if key not in self._monomials:
+            head = key[:-1]
+            power = self._power(len(head), key[-1])
+            self._monomials[key] = self._monomial(head) * power if any(head) else power
+        return self._monomials[key]
+
+    def compose(self, outer: PolyWWbar | PolyZZbar) -> PolyZZbar:
+        """outer(phi_1, ..., phi_n) as sum c * monomial, summed in one array."""
+        if isinstance(outer, PolyZZbar):
+            outer = PolyWWbar(1, {(a, b): c for (a, b), c in outer.terms.items()})
+        if outer.n_slots != self.n_slots:
+            raise ValueError(
+                f"outer has {outer.n_slots} slots but {self.n_slots} inner polynomials given"
+            )
+        terms = [(c, self._monomial(key)._c) for key, c in outer.terms.items()]
+        out = np.zeros(
+            (max((m.shape[0] for _, m in terms), default=0),
+             max((m.shape[1] for _, m in terms), default=0)),
+            dtype=complex,
+        )
+        # The sum starts at +0, and x + y is -0 only when x and y both are, so
+        # no zero of the result is negative: the signed zeros are those of
+        # adding the terms one by one with PolyZZbar.__add__.
+        for c, m in terms:
+            out[: m.shape[0], : m.shape[1]] += c * m
+        return PolyZZbar._wrap(_trim(out))
+
+
 def compose(outer: PolyWWbar | PolyZZbar, inner) -> PolyZZbar:
     """Exact polynomial composition outer(phi_1, ..., phi_n).
 
     ``inner`` is a PolyZZbar (single slot) or a sequence of them, one per slot
     of ``outer``; each wbar_i is substituted by the conjugate polynomial of
     phi_i, so eval(compose(F, phi), w) == F.eval([phi.eval(w), ...]) for all w.
-    A PolyZZbar outer is accepted as the single-slot case with w = z.
+    A PolyZZbar outer is accepted as the single-slot case with w = z.  Several
+    compositions over the same inner vector share work through one
+    :class:`MonomialTable`.
     """
-    if isinstance(outer, PolyZZbar):
-        outer = PolyWWbar(1, {(a, b): c for (a, b), c in outer.terms.items()})
-    if isinstance(inner, PolyZZbar):
-        phis = [inner]
-    else:
-        phis = list(inner)
-    if len(phis) != outer.n_slots:
-        raise ValueError(
-            f"outer has {outer.n_slots} slots but {len(phis)} inner polynomials given"
-        )
-    conj_phis = [p.conjugate() for p in phis]
-
-    # Power tables keyed by slot, built to the largest exponent actually used.
-    max_pow = [0] * (2 * outer.n_slots)
-    for key in outer.terms:
-        for pos, e in enumerate(key):
-            max_pow[pos] = max(max_pow[pos], e)
-
-    def powers(p: PolyZZbar, top: int) -> list[PolyZZbar]:
-        out = [PolyZZbar.constant(1.0)]
-        for _ in range(top):
-            out.append(out[-1] * p)
-        return out
-
-    pow_tables = []
-    for i in range(outer.n_slots):
-        pow_tables.append(powers(phis[i], max_pow[2 * i]))
-        pow_tables.append(powers(conj_phis[i], max_pow[2 * i + 1]))
-
-    result = PolyZZbar.zero()
-    for key, c in outer.terms.items():
-        term = PolyZZbar.constant(c)
-        for pos, e in enumerate(key):
-            if e:
-                term = term * pow_tables[pos][e]
-        result = result + term
-    return result
+    return MonomialTable(inner).compose(outer)

@@ -210,6 +210,20 @@ class StationarityReport:
     ks_threshold: float
     passed: bool
 
+    @property
+    def max_ratio(self) -> float:
+        """The worst of each moment's deviation over 4 SE and each KS statistic
+        over the threshold: the check's residual against tolerance 1."""
+        return float(
+            max(
+                abs(self.mean) / (4.0 * self.mean_se),
+                abs(self.second_moment) / (4.0 * self.second_moment_se),
+                abs(self.abs_second_moment - 2.0) / (4.0 * self.abs_second_moment_se),
+                self.ks_real / self.ks_threshold,
+                self.ks_imag / self.ks_threshold,
+            )
+        )
+
 
 def stationarity_check(
     params: GeneratorParams, n_paths: int, t_burn: float, seed: int

@@ -2,12 +2,17 @@
 separation, file round trips, and CSV reproducibility, all in-process.
 """
 
+import argparse
+import csv
+import io
 import json
 import math
 
 import pytest
 
+from complexou import cli, sde
 from complexou.cli import main
+from complexou.operator import GeneratorParams
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +77,27 @@ class TestHermiteCommands:
         env = parse_envelope(out)
         assert code == 0
         assert env["max_residual"] <= 1e-9
+
+    def test_show_signed_zeros_are_pinned(self, capsys):
+        # Every J[m,n] coefficient is real.  The explicit route prints each
+        # imaginary part as +0.0; the creation route, whose subtractions are
+        # replayed term by term, prints -0.0 exactly at these (m, n, a, b).
+        creation_negative_zeros = {
+            (1, 1, 0, 0), (1, 2, 0, 1), (1, 3, 0, 2), (1, 4, 0, 3), (1, 5, 0, 4),
+            (1, 6, 0, 5), (1, 7, 0, 6), (3, 3, 0, 0), (3, 4, 0, 1), (3, 5, 0, 2),
+        }
+        for route, expected in (("explicit", set()), ("creation", creation_negative_zeros)):
+            negative = set()
+            for m in range(9):
+                for n in range(9 - m):
+                    _, out, _ = run_cli(
+                        capsys, "hermite", "show", "--m", str(m), "--n", str(n), "--route", route
+                    )
+                    for t in parse_envelope(out)["results"]["poly"]:
+                        assert t["im"] == 0.0
+                        if math.copysign(1.0, t["im"]) < 0:
+                            negative.add((m, n, t["a"], t["b"]))
+            assert negative == expected, route
 
     def test_transform_degree_zero_is_identity(self, capsys):
         code, out, _ = run_cli(capsys, "hermite", "transform", "--degree", "0")
@@ -218,6 +244,29 @@ class TestSdeCommands:
         assert lines[0] == "path_id,t,re,im"
         assert len(lines) == 1 + 3 * 2
 
+    def test_csv_matches_csv_writer_reference(self, capsys, tmp_path, monkeypatch):
+        # a small block size, so the 10 paths are written in three blocks
+        monkeypatch.setattr(cli, "_CSV_BLOCK_PATHS", 4)
+        out_file = tmp_path / "paths.csv"
+        code, _, _ = run_cli(
+            capsys, "sde", "simulate", "--theta", "0.3", "--x0-re", "-0.5", "--t", "1e-05", "0.25",
+            "3", "--paths", "10", "--seed", "13", "--csv", str(out_file),
+        )
+        assert code == 0
+        config = sde.SimConfig(
+            params=GeneratorParams(0.3), x0=complex(-0.5, 0.0), t_grid=(0.0, 1e-05, 0.25, 3.0),
+            n_paths=10, seed=13,
+        )
+        ensemble = sde.sample_exact(config)
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(["path_id", "t", "re", "im"])
+        for i in range(config.n_paths):
+            for k, t in enumerate(config.t_grid):
+                state = complex(ensemble.states[i, k])
+                writer.writerow([i, repr(float(t)), repr(state.real), repr(state.imag)])
+        assert out_file.read_bytes() == reference.getvalue().encode("utf-8")
+
     def test_stationarity(self, capsys):
         code, out, _ = run_cli(
             capsys, "sde", "stationarity", "--theta", "0.7854", "--paths", "20000", "--seed", "7"
@@ -287,6 +336,78 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+def subcommands(parser):
+    """The {name: parser} map of a parser's subcommands, or {} for a leaf."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+class TestBranchParser:
+    # (command line, exit code or ("exit", SystemExit code)); usage errors
+    # inside a command (a missing option, a bad choice, a bad value, an option
+    # of another command) come between valid calls, and the last five name no
+    # command, so the whole tree parses and reports them
+    CALLS = [
+        (("hermite", "show", "--m", "2", "--n", "1", "--route", "creation"), 0),
+        (("operator", "eigen", "--m", "1", "--n", "0"), ("exit", 2)),
+        (("operator", "gamma", "--phi", "z*zbar - 2", "--theta", "0.4"), 0),
+        (("hermite", "show", "--m", "1", "--n", "1", "--route", "spline"), ("exit", 2)),
+        (("sde", "stationarity", "--theta", "0.5", "--paths", "500", "--seed", "3"), 0),
+        (("sde", "simulate", "--theta", "x", "--t", "1", "--paths", "2"), ("exit", 2)),
+        (("hermite", "transform", "--degree", "3", "--tol", "1e-12"), 0),
+        (("verify-all", "--paths", "10", "--degree", "3"), ("exit", 2)),
+        (("semigroup", "verify-normal", "--theta", "0.3", "--t", "0.5", "--degree", "3"), 0),
+        (("quad", "selftest", "--order", "6"), 1),  # too few nodes: fails
+        ((), ("exit", 2)),
+        (("hermite",), ("exit", 2)),
+        (("hermite", "bogus"), ("exit", 2)),
+        (("bogus", "show"), ("exit", 2)),
+        (("hermite", "--help"), ("exit", 0)),
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_main_reads_and_prints_as_the_whole_tree(self, capsys, monkeypatch):
+        branch = [self.outcome(capsys, argv) for argv, _ in self.CALLS]
+        assert [code for code, _, _ in branch] == [code for _, code in self.CALLS]
+        whole = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda words=None: whole())
+        assert branch == [self.outcome(capsys, argv) for argv, _ in self.CALLS]
+
+    def test_each_branch_formats_its_command_as_the_whole_tree(self):
+        tree = cli.build_parser()
+        n_commands = 0
+        for group, group_parser in subcommands(tree).items():
+            for words, leaf in (
+                [((group, name), p) for name, p in subcommands(group_parser).items()]
+                or [((group,), group_parser)]
+            ):
+                node = cli._build_parser(list(words))
+                for word in words:
+                    node = subcommands(node)[word]
+                assert node.format_help() == leaf.format_help()
+                n_commands += 1
+        assert n_commands == 15
+
+    @pytest.mark.parametrize(
+        "words", [[], ["hermite"], ["hermite", "bogus"], ["bogus", "show"], ["-h"], ["verify"]]
+    )
+    def test_no_branch_without_a_command(self, words):
+        assert cli._build_parser(words) is None
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestVerifyAll:

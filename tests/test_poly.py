@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complexou import PolyWWbar, PolyZZbar, complex_hermite, compose
+from complexou.poly import MonomialTable
 
 Z = PolyZZbar.z()
 ZBAR = PolyZZbar.zbar()
@@ -411,3 +412,44 @@ class TestKernelProperties:
         naive = sum(c * w**a * w.conjugate() ** b for (a, b), c in p.terms.items())
         scale = sum(abs(c) * abs(w) ** (a + b) for (a, b), c in p.terms.items())
         assert abs(p.eval(w) - naive) <= 1e-12 * scale
+
+    @PROPERTY
+    @given(st.data(), st.integers(1, 2))
+    def test_shared_table_matches_separate_compositions(self, data, n_slots):
+        keys = st.tuples(*[st.integers(0, 3)] * (2 * n_slots))
+        outers = data.draw(
+            st.lists(
+                st.dictionaries(keys, gaussian_ints, max_size=6).map(
+                    lambda terms: PolyWWbar(n_slots, terms)
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        phis = data.draw(st.lists(gaussian_polys(2, 4), min_size=n_slots, max_size=n_slots))
+        table = MonomialTable(phis)
+        for outer in outers:
+            shared = table.compose(outer)
+            assert shared == compose(outer, phis)
+            assert_canonical(shared)
+
+    @PROPERTY
+    @given(st.data(), st.integers(1, 2))
+    def test_composition_keeps_signed_zeros_of_term_by_term_sum(self, data, n_slots):
+        keys = st.tuples(*[st.integers(0, 3)] * (2 * n_slots))
+        outer = data.draw(
+            st.dictionaries(keys, gaussian_ints, max_size=6).map(
+                lambda terms: PolyWWbar(n_slots, terms)
+            )
+        )
+        phis = data.draw(st.lists(gaussian_polys(2, 4), min_size=n_slots, max_size=n_slots))
+        table = MonomialTable(phis)
+        reference = PolyZZbar.zero()
+        for key, c in outer.terms.items():
+            reference = reference + table._monomial(key) * c
+        got = table.compose(outer)
+        assert got == reference
+        for part in ("real", "imag"):
+            assert np.array_equal(
+                np.signbit(getattr(got._c, part)), np.signbit(getattr(reference._c, part))
+            )
