@@ -66,6 +66,11 @@ class CheckReport:
     tol: float | None = None
     details: dict = field(default_factory=dict)
 
+    @classmethod
+    def within(cls, name: str, worst: float, tol: float, details: dict) -> "CheckReport":
+        """The report of a suite that passes when its worst residual is <= tol."""
+        return cls(name, worst <= tol, worst, tol, details)
+
     def to_json_obj(self) -> dict:
         obj = {"name": self.name, "pass": self.passed}
         if self.max_residual is not None:
@@ -80,23 +85,24 @@ class CheckReport:
 # -- random input generators --------------------------------------------------
 
 
+def _random_normals(rng: np.random.Generator, max_degree: int) -> dict:
+    """A standard complex normal for every (i, j) with i + j <= max_degree."""
+    return {
+        (i, j): complex(rng.standard_normal(), rng.standard_normal())
+        for i in range(max_degree + 1)
+        for j in range(max_degree + 1 - i)
+    }
+
+
 def random_poly(rng: np.random.Generator, max_degree: int) -> PolyZZbar:
     """Dense random polynomial: standard complex normal coefficient on every
     monomial of total degree <= max_degree."""
-    terms = {}
-    for a in range(max_degree + 1):
-        for b in range(max_degree + 1 - a):
-            terms[(a, b)] = complex(rng.standard_normal(), rng.standard_normal())
-    return PolyZZbar(terms)
+    return PolyZZbar(_random_normals(rng, max_degree))
 
 
 def random_coeffs(rng: np.random.Generator, max_degree: int) -> SpectralCoeffs:
     """Random basis expansion with O(1) coefficients on every (m, n), m+n <= D."""
-    terms = {}
-    for m in range(max_degree + 1):
-        for n in range(max_degree + 1 - m):
-            terms[(m, n)] = complex(rng.standard_normal(), rng.standard_normal())
-    return SpectralCoeffs(terms)
+    return SpectralCoeffs(_random_normals(rng, max_degree))
 
 
 def random_outer(rng: np.random.Generator, n_slots: int, max_degree: int) -> PolyWWbar:
@@ -131,12 +137,9 @@ def check_orthonormality(max_degree: int = 10, order: int = 12) -> CheckReport:
     vals = np.array([hermite.complex_hermite(m, n).eval(pts) for m, n in _basis_indices(max_degree)])
     gram = (vals * wts) @ vals.conj().T
     resid = float(np.max(np.abs(gram - np.eye(len(gram)))))
-    return CheckReport(
-        name="orthonormality",
-        passed=resid <= 1e-9,
-        max_residual=resid,
-        tol=1e-9,
-        details={"max_degree": max_degree, "order": order, "basis_size": len(gram)},
+    return CheckReport.within(
+        "orthonormality", resid, 1e-9,
+        {"max_degree": max_degree, "order": order, "basis_size": len(gram)},
     )
 
 
@@ -154,12 +157,8 @@ def check_eigenrelation(
             target = j * lam
             resid = (apply_generator_wirtinger(params, j) - target).max_abs_coeff()
             worst = max(worst, resid / max(1.0, target.max_abs_coeff()))
-    return CheckReport(
-        name="eigenrelation",
-        passed=worst <= 1e-9,
-        max_residual=worst,
-        tol=1e-9,
-        details={"max_degree": max_degree, "thetas": list(thetas)},
+    return CheckReport.within(
+        "eigenrelation", worst, 1e-9, {"max_degree": max_degree, "thetas": list(thetas)}
     )
 
 
@@ -168,13 +167,7 @@ def check_transform(max_degree: int = 16) -> CheckReport:
     worst = 0.0
     for level in range(max_degree + 1):
         worst = max(worst, hermite.build_basis_transform(level).residual())
-    return CheckReport(
-        name="basis-transform",
-        passed=worst <= 1e-10,
-        max_residual=worst,
-        tol=1e-10,
-        details={"max_degree": max_degree},
-    )
+    return CheckReport.within("basis-transform", worst, 1e-10, {"max_degree": max_degree})
 
 
 def check_construction(max_total: int = 12) -> CheckReport:
@@ -185,12 +178,8 @@ def check_construction(max_total: int = 12) -> CheckReport:
         built = hermite.complex_hermite_via_creation(m, n)
         resid = (explicit - built).max_abs_coeff() / max(1.0, explicit.max_abs_coeff())
         worst = max(worst, resid)
-    return CheckReport(
-        name="construction-cross-check",
-        passed=worst <= 1e-10,
-        max_residual=worst,
-        tol=1e-10,
-        details={"max_total_degree": max_total},
+    return CheckReport.within(
+        "construction-cross-check", worst, 1e-10, {"max_total_degree": max_total}
     )
 
 
@@ -217,13 +206,7 @@ def check_quadrature(order: int = 12) -> CheckReport:
     small = check_orthonormality(max_degree=4, order=order)
     resids["gram_deg4"] = small.max_residual
     worst = max(resids.values())
-    return CheckReport(
-        name="quadrature-selftest",
-        passed=worst <= 1e-10,
-        max_residual=worst,
-        tol=1e-10,
-        details={"order": order, **{k: v for k, v in resids.items()}},
-    )
+    return CheckReport.within("quadrature-selftest", worst, 1e-10, {"order": order, **resids})
 
 
 def check_roundtrip(max_degree: int = 10) -> CheckReport:
@@ -235,13 +218,7 @@ def check_roundtrip(max_degree: int = 10) -> CheckReport:
         worst = max(worst, (back - p).max_abs_coeff() / max(1.0, p.max_abs_coeff()))
     # expansion coefficients reach ~1e6 at degree 10 and cancel back down to
     # the input, so ~1e-10 of float noise is intrinsic to the round trip
-    return CheckReport(
-        name="expansion-roundtrip",
-        passed=worst <= 1e-9,
-        max_residual=worst,
-        tol=1e-9,
-        details={"max_degree": max_degree},
-    )
+    return CheckReport.within("expansion-roundtrip", worst, 1e-9, {"max_degree": max_degree})
 
 
 # -- operator suites ----------------------------------------------------------
@@ -315,12 +292,8 @@ def check_chain_rule(
         phis = [random_poly(rng, max_degree_inner) for _ in range(n_slots)]
         lhs, rhs = chain_rule_sides(params, outer, phis)
         worst = max(worst, (lhs - rhs).max_abs_coeff() / (1.0 + lhs.max_abs_coeff()))
-    return CheckReport(
-        name="diffusion-chain-rule",
-        passed=worst <= 1e-9,
-        max_residual=worst,
-        tol=1e-9,
-        details={"n_cases": n_cases, "thetas": list(thetas)},
+    return CheckReport.within(
+        "diffusion-chain-rule", worst, 1e-9, {"n_cases": n_cases, "thetas": list(thetas)}
     )
 
 
@@ -338,12 +311,8 @@ def check_operator_normality(
             a = apply_generator_wirtinger(params, apply_generator_wirtinger(adj, phi))
             b = apply_generator_wirtinger(adj, apply_generator_wirtinger(params, phi))
             worst = max(worst, (a - b).max_abs_coeff() / (1.0 + a.max_abs_coeff()))
-    return CheckReport(
-        name="generator-normality",
-        passed=worst <= 1e-10,
-        max_residual=worst,
-        tol=1e-10,
-        details={"max_degree": max_degree, "thetas": list(thetas)},
+    return CheckReport.within(
+        "generator-normality", worst, 1e-10, {"max_degree": max_degree, "thetas": list(thetas)}
     )
 
 
@@ -375,17 +344,9 @@ def check_spectral_vs_mehler(
             via_mehler = semigroup_mehler(p, phi, pts, rule)
             resid = np.abs(via_spectral - via_mehler) / (1.0 + np.abs(via_spectral))
             worst = max(worst, float(np.max(resid)))
-    return CheckReport(
-        name="spectral-vs-mehler",
-        passed=worst <= 1e-8,
-        max_residual=worst,
-        tol=1e-8,
-        details={
-            "max_degree": max_degree,
-            "n_points": n_points,
-            "thetas": list(thetas),
-            "ts": list(ts),
-        },
+    return CheckReport.within(
+        "spectral-vs-mehler", worst, 1e-8,
+        {"max_degree": max_degree, "n_points": n_points, "thetas": list(thetas), "ts": list(ts)},
     )
 
 
@@ -414,17 +375,9 @@ def check_semigroup_normality(
                 scale = 1.0 + np.abs(lhs)
                 resid = np.maximum(np.abs(lhs - rhs), np.abs(lhs - fused)) / scale
                 worst = max(worst, float(np.max(resid)))
-    return CheckReport(
-        name="semigroup-normality",
-        passed=worst <= 1e-8,
-        max_residual=worst,
-        tol=1e-8,
-        details={
-            "max_degree": max_degree,
-            "thetas": list(thetas),
-            "ts": list(ts),
-            "n_points": n_points,
-        },
+    return CheckReport.within(
+        "semigroup-normality", worst, 1e-8,
+        {"max_degree": max_degree, "thetas": list(thetas), "ts": list(ts), "n_points": n_points},
     )
 
 
@@ -448,12 +401,9 @@ def check_adjoint(
                 left = semigroup_pairing(p, phi, psi, rule)
                 right = semigroup_pairing(adjoint_semigroup(p), psi, phi, rule).conjugate()
                 worst = max(worst, abs(left - right))
-    return CheckReport(
-        name="adjoint-identity",
-        passed=worst <= 1e-9,
-        max_residual=worst,
-        tol=1e-9,
-        details={"max_degree": max_degree, "thetas": list(thetas), "ts": list(ts)},
+    return CheckReport.within(
+        "adjoint-identity", worst, 1e-9,
+        {"max_degree": max_degree, "thetas": list(thetas), "ts": list(ts)},
     )
 
 
@@ -473,12 +423,9 @@ def check_invariance(
             p = PropagatorParams(GeneratorParams(theta), t)
             for _ in range(n_polys):
                 worst = max(worst, invariance_residual(p, random_poly(rng, max_degree), rule))
-    return CheckReport(
-        name="gamma-invariance",
-        passed=worst <= 1e-9,
-        max_residual=worst,
-        tol=1e-9,
-        details={"max_degree": max_degree, "thetas": list(thetas), "ts": list(ts)},
+    return CheckReport.within(
+        "gamma-invariance", worst, 1e-9,
+        {"max_degree": max_degree, "thetas": list(thetas), "ts": list(ts)},
     )
 
 
@@ -507,12 +454,9 @@ def check_ergodicity(
                 resid = ergodic_limit_residual(params, phi, complex(x), t, rule)
                 allowance = env.bound(params, t) * (1.0 + 1e-9) + 1e-10
                 worst = max(worst, resid / allowance)
-    return CheckReport(
-        name="ergodic-envelope",
-        passed=worst <= 1.0,
-        max_residual=worst,
-        tol=1.0,
-        details={"max_degree": max_degree, "thetas": list(thetas), "ts": list(ts)},
+    return CheckReport.within(
+        "ergodic-envelope", worst, 1.0,
+        {"max_degree": max_degree, "thetas": list(thetas), "ts": list(ts)},
     )
 
 
@@ -533,12 +477,9 @@ def check_rotation_invariance(
             for _ in range(n_polys):
                 f = random_outer(rng, 2, max_degree)
                 worst = max(worst, gaussian_rotation_residual(p, f, rule))
-    return CheckReport(
-        name="gaussian-rotation-invariance",
-        passed=worst <= 1e-9,
-        max_residual=worst,
-        tol=1e-9,
-        details={"max_degree": max_degree, "thetas": list(thetas), "ts": list(ts)},
+    return CheckReport.within(
+        "gaussian-rotation-invariance", worst, 1e-9,
+        {"max_degree": max_degree, "thetas": list(thetas), "ts": list(ts)},
     )
 
 
@@ -559,6 +500,8 @@ def check_sde_moments(
     replays one configuration to confirm bit-identical states.
     max_residual is the worst deviation in SE units; tol = 4.
     """
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2 for standard errors, got {n_paths}")
     worst = 0.0
     repro = True
     for i, theta in enumerate(thetas):
@@ -650,12 +593,9 @@ def check_sde_vs_mehler(
             mc, se = sde.estimate_pt(ens, phi, k)
             exact = semigroup_mehler(PropagatorParams(params, t), phi, x0, rule)
             worst = max(worst, abs(mc - exact) / se)
-    return CheckReport(
-        name="sde-vs-mehler",
-        passed=worst <= 4.0,
-        max_residual=worst,
-        tol=4.0,
-        details={"n_paths": n_paths, "max_degree": max_degree, "thetas": list(thetas)},
+    return CheckReport.within(
+        "sde-vs-mehler", worst, 4.0,
+        {"n_paths": n_paths, "max_degree": max_degree, "thetas": list(thetas)},
     )
 
 

@@ -43,12 +43,11 @@ from functools import lru_cache
 import numpy as np
 
 from .poly import PolyZZbar
-from .spectral import SpectralCoeffs
+from .spectral import MAX_TOTAL_DEGREE, SpectralCoeffs
 
 _LN2 = math.log(2.0)
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k by k mod 4
 
-MAX_TOTAL_DEGREE = 64
 MAX_CREATION_DEGREE = 32
 MAX_TRANSFORM_DEGREE = 16
 

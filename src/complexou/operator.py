@@ -37,6 +37,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .poly import MonomialTable, PolyZZbar, PolyWWbar, compose
 from .spectral import SpectralCoeffs
 
@@ -68,11 +70,19 @@ class GeneratorParams:
         return cmath.exp(1j * self.theta)
 
 
-def eigenvalue(params: GeneratorParams, m: int, n: int) -> complex:
-    """lambda[m,n] = -[(m+n)*cos(theta) + i*(m-n)*sin(theta)]."""
-    return -complex(
-        (m + n) * math.cos(params.theta), (m - n) * math.sin(params.theta)
-    )
+def eigenvalue(params: GeneratorParams, m, n):
+    """lambda[m,n] = -[(m+n)*cos(theta) + i*(m-n)*sin(theta)].
+
+    m and n are integers, giving a complex, or integer index arrays, giving
+    the complex grid of lambda over them with the same bits entry by entry.
+    """
+    re = -((m + n) * math.cos(params.theta))
+    im = -((m - n) * math.sin(params.theta))
+    if np.ndim(re) == 0:
+        return complex(re, im)
+    grid = np.empty(np.shape(re), dtype=complex)
+    grid.real, grid.imag = re, im
+    return grid
 
 
 def adjoint_params(params: GeneratorParams) -> GeneratorParams:
@@ -95,7 +105,7 @@ def apply_generator_wirtinger(params: GeneratorParams, phi: PolyZZbar) -> PolyZZ
 
 def apply_generator_spectral(params: GeneratorParams, f: SpectralCoeffs) -> SpectralCoeffs:
     """Apply the generator as the diagonal multiplier b[m,n] -> lambda[m,n]*b[m,n]."""
-    return f.map_terms(lambda m, n, c: eigenvalue(params, m, n) * c)
+    return f.apply_diagonal(lambda m, n: eigenvalue(params, m, n))
 
 
 def domain_seminorm_sq(params: GeneratorParams, f: SpectralCoeffs) -> float:

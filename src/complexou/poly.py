@@ -28,6 +28,10 @@ Conventions baked into the representation:
   it transposes the array and conjugates it, so
   ``conjugate(p).eval(w) == conj(p.eval(w))``.
 
+:class:`~.spectral.SpectralCoeffs` stores basis expansions in the same form
+and shares the module-level array helpers (``_from_terms``, ``_sum``,
+``_times``, ``_wrap``, ``_term_map``).
+
 :class:`PolyWWbar` generalizes to n complex slots (w_1, wbar_1, ..., w_n,
 wbar_n) with a sparse map of exponent tuples; it exists to express outer
 functions F for composition F(phi_1, ..., phi_n), and :func:`compose` maps
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import json
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -77,46 +81,84 @@ def _pad(c: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
+def _times(c: np.ndarray, factor) -> np.ndarray:
+    """Trimmed c * factor (a scalar or an array of c's shape) on c's nonzeros."""
+    return _trim(_on_nonzero(np.multiply, c, factor))
+
+
+def _from_terms(terms: Mapping[tuple[int, int], complex] | None, what: str) -> np.ndarray:
+    """Trimmed read-only array with ``[i, j] = terms[(i, j)]``, zeros left out."""
+    entries = []
+    for (i, j), v in (terms or {}).items():
+        if i < 0 or j < 0:
+            raise ValueError(f"{what} must be nonnegative, got {(i, j)}")
+        v = complex(v)
+        if v != 0:
+            entries.append((int(i), int(j), v))
+    if not entries:
+        return _EMPTY
+    c = np.zeros((max(e[0] for e in entries) + 1, max(e[1] for e in entries) + 1), complex)
+    for i, j, v in entries:
+        c[i, j] = v
+    c.setflags(write=False)
+    return c
+
+
+def _sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Trimmed x + y; where y is zero, x's entry is kept, signed zeros included."""
+    out = np.zeros((max(x.shape[0], y.shape[0]), max(x.shape[1], y.shape[1])), dtype=complex)
+    out[: x.shape[0], : x.shape[1]] = x
+    overlap = out[: y.shape[0], : y.shape[1]]
+    np.add(overlap, y, out=overlap, where=y != 0)
+    return _trim(out)
+
+
+def _wrap(cls, c: np.ndarray):
+    """An instance of cls around an already trimmed complex array (not copied)."""
+    obj = object.__new__(cls)
+    c.setflags(write=False)
+    obj._c = c
+    obj._terms = None
+    return obj
+
+
+def _term_map(obj) -> Mapping[tuple[int, int], complex]:
+    """Read-only map from ``(i, j)`` to the nonzero entries of ``obj._c``, in
+    ascending ``(i, j)``; built on first use and cached in ``obj._terms``."""
+    if obj._terms is None:
+        rows, cols = np.nonzero(obj._c)
+        values = obj._c[rows, cols].tolist()
+        obj._terms = MappingProxyType(dict(zip(zip(rows.tolist(), cols.tolist()), values)))
+    return obj._terms
+
+
+def _power(base, n: int, one):
+    """base ** n by repeated squaring, starting from the unit ``one``."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
 class PolyZZbar:
     """Polynomial in (z, zbar) with complex double coefficients."""
 
     __slots__ = ("_c", "_terms")
 
     def __init__(self, terms: Mapping[tuple[int, int], complex] | None = None):
-        entries = []
-        for (a, b), c in (terms or {}).items():
-            if a < 0 or b < 0:
-                raise ValueError(f"exponents must be nonnegative, got {(a, b)}")
-            c = complex(c)
-            if c != 0:
-                entries.append((int(a), int(b), c))
-        if entries:
-            c = np.zeros(
-                (max(e[0] for e in entries) + 1, max(e[1] for e in entries) + 1),
-                dtype=complex,
-            )
-            for a, b, v in entries:
-                c[a, b] = v
-            c.setflags(write=False)
-        else:
-            c = _EMPTY
-        self._c = c
+        self._c = _from_terms(terms, "exponents")
         self._terms: Mapping[tuple[int, int], complex] | None = None
-
-    @classmethod
-    def _wrap(cls, c: np.ndarray) -> "PolyZZbar":
-        """A polynomial around an already trimmed complex array (not copied)."""
-        obj = object.__new__(cls)
-        c.setflags(write=False)
-        obj._c = c
-        obj._terms = None
-        return obj
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "PolyZZbar":
-        return cls._wrap(_EMPTY)
+        return _wrap(cls, _EMPTY)
 
     @classmethod
     def constant(cls, c: Scalar) -> "PolyZZbar":
@@ -136,21 +178,16 @@ class PolyZZbar:
             raise ValueError(f"exponents must be nonnegative, got {(a, b)}")
         c = complex(c)
         if c == 0:
-            return cls._wrap(_EMPTY)
+            return _wrap(cls, _EMPTY)
         arr = np.zeros((int(a) + 1, int(b) + 1), dtype=complex)
         arr[-1, -1] = c
-        return cls._wrap(arr)
+        return _wrap(cls, arr)
 
     # -- inspection ---------------------------------------------------------
 
     @property
     def terms(self) -> Mapping[tuple[int, int], complex]:
-        if self._terms is None:
-            rows, cols = np.nonzero(self._c)
-            self._terms = MappingProxyType(
-                dict(zip(zip(rows.tolist(), cols.tolist()), self._c[rows, cols].tolist()))
-            )
-        return self._terms
+        return _term_map(self)
 
     @property
     def degree(self) -> int:
@@ -160,9 +197,7 @@ class PolyZZbar:
         return int((rows + cols).max())
 
     def coeff(self, a: int, b: int) -> complex:
-        if 0 <= a < self._c.shape[0] and 0 <= b < self._c.shape[1]:
-            return complex(self._c[a, b])
-        return 0j
+        return self.terms.get((a, b), 0j)
 
     def max_abs_coeff(self) -> float:
         return float(np.abs(self._c).max()) if self._c.size else 0.0
@@ -200,19 +235,13 @@ class PolyZZbar:
             other = PolyZZbar.constant(other)
         if not isinstance(other, PolyZZbar):
             return NotImplemented
-        x, y = self._c, other._c
-        out = np.zeros((max(x.shape[0], y.shape[0]), max(x.shape[1], y.shape[1])), dtype=complex)
-        out[: x.shape[0], : x.shape[1]] = x
-        overlap = out[: y.shape[0], : y.shape[1]]
-        # a term of self that other lacks is kept as is, signed zeros included
-        np.add(overlap, y, out=overlap, where=y != 0)
-        return PolyZZbar._wrap(_trim(out))
+        return _wrap(PolyZZbar, _sum(self._c, other._c))
 
     def __radd__(self, other: Scalar) -> "PolyZZbar":
         return self + other
 
     def __neg__(self) -> "PolyZZbar":
-        return PolyZZbar._wrap(_on_nonzero(np.negative, self._c))
+        return _wrap(PolyZZbar, _on_nonzero(np.negative, self._c))
 
     def __sub__(self, other: "PolyZZbar" | Scalar) -> "PolyZZbar":
         return self + (-other if isinstance(other, PolyZZbar) else -complex(other))
@@ -222,12 +251,12 @@ class PolyZZbar:
 
     def __mul__(self, other: "PolyZZbar" | Scalar) -> "PolyZZbar":
         if isinstance(other, (int, float, complex)):
-            return PolyZZbar._wrap(_trim(_on_nonzero(np.multiply, self._c, complex(other))))
+            return _wrap(PolyZZbar, _times(self._c, complex(other)))
         if not isinstance(other, PolyZZbar):
             return NotImplemented
         x, y = self._c, other._c
         if not x.size or not y.size:
-            return PolyZZbar._wrap(_EMPTY)
+            return _wrap(PolyZZbar, _EMPTY)
         # Pad both to the product's row width; then the flat 1-D convolution
         # lands [a1, b1] * [a2, b2] on flat index (a1 + a2) * width + b1 + b2.
         rows = x.shape[0] + y.shape[0] - 1
@@ -235,7 +264,7 @@ class PolyZZbar:
         flat = np.convolve(
             _pad(x, (x.shape[0], width)).ravel(), _pad(y, (y.shape[0], width)).ravel()
         )
-        return PolyZZbar._wrap(_trim(flat[: rows * width].reshape(rows, width)))
+        return _wrap(PolyZZbar, _trim(flat[: rows * width].reshape(rows, width)))
 
     def __rmul__(self, other: Scalar) -> "PolyZZbar":
         return self * other
@@ -244,32 +273,23 @@ class PolyZZbar:
         return self * (1.0 / complex(other))
 
     def __pow__(self, n: int) -> "PolyZZbar":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = PolyZZbar.constant(1.0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, PolyZZbar.constant(1.0))
 
     # -- calculus -----------------------------------------------------------
 
     def wirtinger_dz(self) -> "PolyZZbar":
         """Formal d/dz: (a, b) -> (a-1, b) with factor a; zbar held constant."""
         c = self._c
-        return PolyZZbar._wrap(_trim(c[1:] * np.arange(1, c.shape[0])[:, None]))
+        return _wrap(PolyZZbar, _trim(c[1:] * np.arange(1, c.shape[0])[:, None]))
 
     def wirtinger_dzbar(self) -> "PolyZZbar":
         """Formal d/dzbar: (a, b) -> (a, b-1) with factor b; z held constant."""
         c = self._c
-        return PolyZZbar._wrap(_trim(c[:, 1:] * np.arange(1, c.shape[1])))
+        return _wrap(PolyZZbar, _trim(c[:, 1:] * np.arange(1, c.shape[1])))
 
     def conjugate(self) -> "PolyZZbar":
         """Pointwise complex conjugate: swap exponents, conjugate coefficients."""
-        return PolyZZbar._wrap(_on_nonzero(np.conjugate, self._c.T))
+        return _wrap(PolyZZbar, _on_nonzero(np.conjugate, self._c.T))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -306,10 +326,7 @@ class PolyZZbar:
 
     def prune(self, eps: float) -> "PolyZZbar":
         """Drop terms with |coeff| <= eps (display helper, not used in algebra)."""
-        return PolyZZbar._wrap(_trim(np.where(np.abs(self._c) > eps, self._c, 0)))
-
-    def map_coeffs(self, fn: Callable[[complex], complex]) -> "PolyZZbar":
-        return PolyZZbar({k: fn(c) for k, c in self.terms.items()})
+        return _wrap(PolyZZbar, _trim(np.where(np.abs(self._c) > eps, self._c, 0)))
 
     # -- serialization ------------------------------------------------------
 
@@ -343,6 +360,9 @@ class PolyWWbar:
     Exponent keys are tuples of length 2n: entry 2i is the power of w_i,
     entry 2i+1 the power of wbar_i.  Used as the outer function F in
     compositions F(phi_1, ..., phi_n); for n = 1 this mirrors PolyZZbar.
+
+    Storage stays a sparse map: a dense array over 2n exponents of degree up
+    to D has (D+1)**(2n) cells, while an outer function has few terms.
     """
 
     __slots__ = ("_n_slots", "_terms")
@@ -360,6 +380,14 @@ class PolyWWbar:
             if c != 0:
                 out[key] = c
         self._terms = MappingProxyType(out)
+
+    @classmethod
+    def _unchecked(cls, n_slots: int, terms: dict[tuple[int, ...], complex]) -> "PolyWWbar":
+        """From valid keys and complex values (not re-validated); drops zeros."""
+        obj = object.__new__(cls)
+        obj._n_slots = n_slots
+        obj._terms = MappingProxyType({k: c for k, c in terms.items() if c != 0})
+        return obj
 
     @classmethod
     def constant(cls, c: Scalar, n_slots: int = 1) -> "PolyWWbar":
@@ -411,63 +439,50 @@ class PolyWWbar:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0j) + c
-        return PolyWWbar(self._n_slots, out)
+        return PolyWWbar._unchecked(self._n_slots, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyWWbar":
-        return PolyWWbar(self._n_slots, {k: -c for k, c in self._terms.items()})
+        return PolyWWbar._unchecked(self._n_slots, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "PolyWWbar" | Scalar) -> "PolyWWbar":
-        if isinstance(other, (int, float, complex)):
-            other = PolyWWbar.constant(other, self._n_slots)
-        return self + (-other)
+        return self + (-other if isinstance(other, PolyWWbar) else -complex(other))
 
     def __mul__(self, other: "PolyWWbar" | Scalar) -> "PolyWWbar":
         if isinstance(other, (int, float, complex)):
             c = complex(other)
-            return PolyWWbar(self._n_slots, {k: v * c for k, v in self._terms.items()})
+            return PolyWWbar._unchecked(self._n_slots, {k: v * c for k, v in self._terms.items()})
         self._check_compatible(other)
         out: dict[tuple[int, ...], complex] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
                 key = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
                 out[key] = out.get(key, 0j) + c1 * c2
-        return PolyWWbar(self._n_slots, out)
+        return PolyWWbar._unchecked(self._n_slots, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "PolyWWbar":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = PolyWWbar.constant(1.0, self._n_slots)
-        for _ in range(n):
-            result = result * self
-        return result
+        return _power(self, n, PolyWWbar.constant(1.0, self._n_slots))
+
+    def _derivative(self, pos: int) -> "PolyWWbar":
+        """Formal derivative in the variable at exponent position pos."""
+        out: dict[tuple[int, ...], complex] = {}
+        for key, c in self._terms.items():
+            e = key[pos]
+            if e:
+                nk = key[:pos] + (e - 1,) + key[pos + 1 :]
+                out[nk] = out.get(nk, 0j) + e * c
+        return PolyWWbar._unchecked(self._n_slots, out)
 
     def dslot(self, i: int) -> "PolyWWbar":
         """Formal d/dw_i."""
-        pos = 2 * i
-        out = {}
-        for key, c in self._terms.items():
-            e = key[pos]
-            if e >= 1:
-                nk = list(key)
-                nk[pos] = e - 1
-                out[tuple(nk)] = out.get(tuple(nk), 0j) + e * c
-        return PolyWWbar(self._n_slots, out)
+        return self._derivative(2 * i)
 
     def dslotbar(self, i: int) -> "PolyWWbar":
         """Formal d/dwbar_i."""
-        pos = 2 * i + 1
-        out = {}
-        for key, c in self._terms.items():
-            e = key[pos]
-            if e >= 1:
-                nk = list(key)
-                nk[pos] = e - 1
-                out[tuple(nk)] = out.get(tuple(nk), 0j) + e * c
-        return PolyWWbar(self._n_slots, out)
+        return self._derivative(2 * i + 1)
 
     def eval(self, ws: Sequence) -> complex | np.ndarray:
         """Evaluate at slot values ws (scalars or broadcastable arrays).
@@ -535,7 +550,7 @@ class MonomialTable:
     def compose(self, outer: PolyWWbar | PolyZZbar) -> PolyZZbar:
         """outer(phi_1, ..., phi_n) as sum c * monomial, summed in one array."""
         if isinstance(outer, PolyZZbar):
-            outer = PolyWWbar(1, {(a, b): c for (a, b), c in outer.terms.items()})
+            outer = PolyWWbar._unchecked(1, dict(outer.terms))
         if outer.n_slots != self.n_slots:
             raise ValueError(
                 f"outer has {outer.n_slots} slots but {self.n_slots} inner polynomials given"
@@ -551,7 +566,7 @@ class MonomialTable:
         # adding the terms one by one with PolyZZbar.__add__.
         for c, m in terms:
             out[: m.shape[0], : m.shape[1]] += c * m
-        return PolyZZbar._wrap(_trim(out))
+        return _wrap(PolyZZbar, _trim(out))
 
 
 def compose(outer: PolyWWbar | PolyZZbar, inner) -> PolyZZbar:

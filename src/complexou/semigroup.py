@@ -78,7 +78,7 @@ def semigroup_spectral(p: PropagatorParams, f: SpectralCoeffs) -> SpectralCoeffs
     """
     if p.t == 0.0:
         return f
-    return f.map_terms(lambda m, n, c: cmath.exp(eigenvalue(p.params, m, n) * p.t) * c)
+    return f.apply_diagonal(lambda m, n: np.exp(eigenvalue(p.params, m, n) * p.t))
 
 
 def semigroup_mehler(p: PropagatorParams, phi, x, rule: QuadratureRule):

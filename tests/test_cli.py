@@ -310,6 +310,12 @@ class TestExitCodes:
         assert "error:" in err
 
 
+    def test_verify_all_needs_two_paths(self, capsys):
+        code, out, err = run_cli(capsys, "verify-all", "--paths", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "n_paths" in err
+
     def test_stationarity_needs_two_paths(self, capsys):
         code, out, err = run_cli(capsys, "sde", "stationarity", "--theta", "0.3", "--paths", "1")
         assert code == 2
@@ -325,6 +331,11 @@ class TestExitCodes:
             [{"m": 1, "re": 1.0, "im": 0.0}],  # bare list, entry without "n"
             [3.0],  # bare list, entry not an object
             [{"m": None, "n": 0, "re": 1.0, "im": 0.0}],  # index not a number
+            [{"m": 1.7, "n": 0, "re": 1.0, "im": 0.0}],  # index not an integer
+            [{"m": True, "n": 0, "re": 1.0, "im": 0.0}],  # index a boolean
+            [{"m": 1, "n": 0, "re": 1.0, "im": 0.0}, {"m": 1, "n": 0, "re": 2.0, "im": 0.0}],
+            {"theta": [1], "coeffs": [{"m": 1, "n": 0, "re": 1.0, "im": 0.0}]},  # theta a list
+            [{"m": 40, "n": 25, "re": 1.0, "im": 0.0}],  # m + n above the basis limit
         ],
     )
     def test_malformed_coefficient_file(self, capsys, tmp_path, content):

@@ -453,3 +453,44 @@ class TestKernelProperties:
             assert np.array_equal(
                 np.signbit(getattr(got._c, part)), np.signbit(getattr(reference._c, part))
             )
+
+
+def gaussian_outers(n_slots, max_exponent=3, max_terms=5):
+    keys = st.tuples(*[st.integers(0, max_exponent)] * (2 * n_slots))
+    return st.dictionaries(keys, gaussian_ints, max_size=max_terms).map(
+        lambda terms: PolyWWbar(n_slots, terms)
+    )
+
+
+class TestOuterProperties:
+    @PROPERTY
+    @given(st.data(), st.integers(1, 2), st.integers(0, 5))
+    def test_power_matches_repeated_product(self, data, n_slots, k):
+        f = data.draw(gaussian_outers(n_slots, 2, 3))
+        repeated = PolyWWbar.constant(1.0, n_slots)
+        for _ in range(k):
+            repeated = repeated * f
+        assert f**k == repeated
+
+    @PROPERTY
+    @given(st.data(), st.integers(1, 3))
+    def test_slot_derivatives_match_termwise_oracle(self, data, n_slots):
+        f = data.draw(gaussian_outers(n_slots))
+        i = data.draw(st.integers(0, n_slots - 1))
+        for pos, got in ((2 * i, f.dslot(i)), (2 * i + 1, f.dslotbar(i))):
+            want = {}
+            for key, c in f.terms.items():
+                if key[pos]:
+                    lowered = key[:pos] + (key[pos] - 1,) + key[pos + 1 :]
+                    want[lowered] = want.get(lowered, 0j) + key[pos] * c
+            assert dict(got.terms) == {k: c for k, c in want.items() if c != 0}
+
+    @PROPERTY
+    @given(st.data(), st.integers(1, 2))
+    def test_internal_results_hold_no_zero_terms(self, data, n_slots):
+        f = data.draw(gaussian_outers(n_slots))
+        g = data.draw(gaussian_outers(n_slots))
+        for result in (f + g, f - g, f * g, f * 0, -f, f.dslot(0), f - f):
+            assert all(c != 0 for c in result.terms.values())
+            assert all(type(e) is int for key in result.terms for e in key)
+        assert not (f - f).terms
