@@ -11,9 +11,9 @@ the tolerance is always a plain number and pass = max_residual <= tol.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,33 +85,40 @@ class CheckReport:
 # -- random input generators --------------------------------------------------
 
 
-def _random_normals(rng: np.random.Generator, max_degree: int) -> dict:
-    """A standard complex normal for every (i, j) with i + j <= max_degree."""
-    return {
-        (i, j): complex(rng.standard_normal(), rng.standard_normal())
-        for i in range(max_degree + 1)
-        for j in range(max_degree + 1 - i)
-    }
+@lru_cache(maxsize=None)
+def _bounded_keys(length: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
+    """Every exponent tuple of the given length with sum <= max_degree, in
+    lexicographic order (the order ``itertools.product`` yields them in)."""
+    if not length:
+        return ((),)
+    return tuple(
+        (e,) + rest
+        for e in range(max_degree + 1)
+        for rest in _bounded_keys(length - 1, max_degree - e)
+    )
+
+
+def _random_normals(rng: np.random.Generator, length: int, max_degree: int) -> dict:
+    """A standard complex normal for every key of :func:`_bounded_keys`, drawn
+    as one block of (re, im) pairs in key order."""
+    keys = _bounded_keys(length, max_degree)
+    return dict(zip(keys, rng.standard_normal(2 * len(keys)).view(complex).tolist()))
 
 
 def random_poly(rng: np.random.Generator, max_degree: int) -> PolyZZbar:
     """Dense random polynomial: standard complex normal coefficient on every
     monomial of total degree <= max_degree."""
-    return PolyZZbar(_random_normals(rng, max_degree))
+    return PolyZZbar(_random_normals(rng, 2, max_degree))
 
 
 def random_coeffs(rng: np.random.Generator, max_degree: int) -> SpectralCoeffs:
     """Random basis expansion with O(1) coefficients on every (m, n), m+n <= D."""
-    return SpectralCoeffs(_random_normals(rng, max_degree))
+    return SpectralCoeffs(_random_normals(rng, 2, max_degree))
 
 
 def random_outer(rng: np.random.Generator, n_slots: int, max_degree: int) -> PolyWWbar:
     """Random outer function of total degree <= max_degree in n complex slots."""
-    terms = {}
-    for key in itertools.product(range(max_degree + 1), repeat=2 * n_slots):
-        if sum(key) <= max_degree:
-            terms[key] = complex(rng.standard_normal(), rng.standard_normal())
-    return PolyWWbar(n_slots, terms)
+    return PolyWWbar(n_slots, _random_normals(rng, 2 * n_slots, max_degree))
 
 
 def random_points(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -15,11 +15,16 @@ a :class:`~.poly.PolyZZbar`; errors raise :class:`ExprError` with the
 offending position.  A product or power whose total degree would exceed
 ``MAX_TOTAL_DEGREE`` (64) is an error too, raised before it is computed, so a
 literal such as ``z^2000`` fails at once instead of building a huge array.
+So is a number that is not finite as a double (``1e400``), a sum, product or
+power whose coefficients overflow (``2^3000*z``, ``1e200*1e200``), and an
+exponent too long to convert to an integer.
 """
 
 from __future__ import annotations
 
 import re
+
+import numpy as np
 
 from .poly import PolyZZbar
 from .spectral import MAX_TOTAL_DEGREE
@@ -34,8 +39,9 @@ _TOKEN = re.compile(
 
 
 class ExprError(ValueError):
-    """Raised on any lexical or syntactic problem in a polynomial literal, and
-    on a product or power above ``MAX_TOTAL_DEGREE``."""
+    """Raised on any lexical or syntactic problem in a polynomial literal, on a
+    product or power above ``MAX_TOTAL_DEGREE``, and on a non-finite number or
+    coefficient."""
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -60,6 +66,12 @@ def _check_degree(degree: int, start: int) -> None:
         raise ExprError(
             f"total degree {degree} exceeds {MAX_TOTAL_DEGREE} at position {start}"
         )
+
+
+def _finite(p: PolyZZbar, what: str, start: int) -> PolyZZbar:
+    if not np.isfinite(p._c).all():
+        raise ExprError(f"{what} at position {start} is not finite")
+    return p
 
 
 class _Parser:
@@ -98,8 +110,9 @@ class _Parser:
             op = self._accept_op("+", "-")
             if op is None:
                 return result
+            start = self.tokens[self.pos - 1][2]
             rhs = self.term()
-            result = result + rhs if op == "+" else result - rhs
+            result = _finite(result + rhs if op == "+" else result - rhs, "sum", start)
 
     def term(self) -> PolyZZbar:
         result = self.factor()
@@ -108,7 +121,7 @@ class _Parser:
             rhs = self.factor()
             if result and rhs:
                 _check_degree(result.degree + rhs.degree, start)
-            result = result * rhs
+            result = _finite(result * rhs, "product", start)
         return result
 
     def factor(self) -> PolyZZbar:
@@ -129,16 +142,21 @@ class _Parser:
                 raise ExprError(
                     f"exponent must be a nonnegative integer, got {text!r} at position {start}"
                 )
-            exponent = int(text)
+            try:
+                exponent = int(text)
+            except ValueError:  # more digits than int() converts
+                raise ExprError(
+                    f"exponent of {len(text)} digits is too long at position {start}"
+                ) from None
             if result:
                 _check_degree(result.degree * exponent, start)
-            result = result ** exponent
+            result = _finite(result ** exponent, "power", start)
         return result
 
     def atom(self) -> PolyZZbar:
         kind, text, start = self._next()
         if kind == "num":
-            return PolyZZbar.constant(float(text))
+            return _finite(PolyZZbar.constant(float(text)), f"number {text!r}", start)
         if kind == "name":
             if text == "z":
                 return PolyZZbar.z()
@@ -158,4 +176,6 @@ def parse_poly(text: str) -> PolyZZbar:
     tokens = _tokenize(text)
     if not tokens:
         raise ExprError("empty expression")
-    return _Parser(tokens, text).parse()
+    # an overflow is reported as an ExprError by _finite, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _Parser(tokens, text).parse()

@@ -43,14 +43,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .poly import PolyZZbar
+from .poly import PolyZZbar, _lincomb, _wrap
 from .spectral import MAX_TOTAL_DEGREE, SpectralCoeffs
 
 _LN2 = math.log(2.0)
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k by k mod 4
 
 MAX_CREATION_DEGREE = 32
-MAX_TRANSFORM_DEGREE = 16
+MAX_TRANSFORM_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -211,19 +211,19 @@ def monomial_to_hermite(m: int, n: int) -> SpectralCoeffs:
 
 def synthesize(coeffs: SpectralCoeffs) -> PolyZZbar:
     """Rebuild the polynomial sum b[m,n] * J[m,n] from its coefficients."""
-    out = PolyZZbar.zero()
-    for (m, n), c in coeffs.items_sorted():
-        out = out + complex_hermite(m, n) * c
-    return out
+    return _wrap(
+        PolyZZbar,
+        _lincomb([(c, complex_hermite(m, n)._c) for (m, n), c in coeffs.items_sorted()]),
+    )
 
 
 def project_monomials(p: PolyZZbar) -> SpectralCoeffs:
     """Exact J-basis coefficients of a polynomial, termwise via the monomial
     expansion (no quadrature)."""
-    out = SpectralCoeffs()
-    for (a, b), c in p.items_sorted():
-        out = out + monomial_to_hermite(a, b) * c
-    return out
+    return _wrap(
+        SpectralCoeffs,
+        _lincomb([(c, monomial_to_hermite(a, b)._c) for (a, b), c in p.items_sorted()]),
+    )
 
 
 def build_basis_transform(degree: int) -> BasisTransform:

@@ -26,15 +26,20 @@ Conventions baked into the representation:
   d/dzbar lowers ``b``,
 - ``conjugate`` represents the pointwise complex conjugate of the function:
   it transposes the array and conjugates it, so
-  ``conjugate(p).eval(w) == conj(p.eval(w))``.
+  ``conjugate(p).eval(w) == conj(p.eval(w))``,
+- evaluation is nested Horner, w over the rows and conj(w) along each row,
+  seeded with each row's last nonzero coefficient so that zero coefficients
+  and all-zero rows add nothing.
 
 :class:`~.spectral.SpectralCoeffs` stores basis expansions in the same form
 and shares the module-level array helpers (``_from_terms``, ``_sum``,
-``_times``, ``_wrap``, ``_term_map``).
+``_times``, ``_wrap``, ``_term_map``); ``_lincomb`` sums a linear combination
+of such arrays in one array, for compositions and basis sums.
 
 :class:`PolyWWbar` generalizes to n complex slots (w_1, wbar_1, ..., w_n,
-wbar_n) with a sparse map of exponent tuples; it exists to express outer
-functions F for composition F(phi_1, ..., phi_n), and :func:`compose` maps
+wbar_n) with a sparse map of exponent tuples, evaluated by nested Horner over
+the exponent positions; it exists to express outer functions F for
+composition F(phi_1, ..., phi_n), and :func:`compose` maps
 such an F together with a vector of (z, zbar)-polynomials back into a single
 (z, zbar)-polynomial.  :class:`MonomialTable` holds the powers and monomials
 of one inner vector, so several compositions over it build each only once.
@@ -45,6 +50,7 @@ safe to share across threads; every operation returns a new object.
 
 from __future__ import annotations
 
+import itertools
 import json
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -143,6 +149,39 @@ def _power(base, n: int, one):
         base = base * base if n > 1 else base
         n >>= 1
     return result
+
+
+def _lincomb(pairs: Sequence[tuple[complex, np.ndarray]]) -> np.ndarray:
+    """Trimmed sum of ``c * a`` over the (c, a) pairs, summed in one zero array.
+
+    The sum starts at +0, and x + y is -0 only when x and y both are, so no
+    zero of the result is negative: the signed zeros are those of adding the
+    scaled arrays one by one with :func:`_sum`.  Each product is formed
+    scalar first; where ``a`` is real, as J[m,n] and the monomial expansions
+    are, it has the bits of :func:`_times`, which forms it array first.
+    """
+    out = np.zeros(
+        (max((a.shape[0] for _, a in pairs), default=0),
+         max((a.shape[1] for _, a in pairs), default=0)),
+        dtype=complex,
+    )
+    for c, a in pairs:
+        out[: a.shape[0], : a.shape[1]] += c * a
+    return _trim(out)
+
+
+def _horner_row(row: list, wbar: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sum_j row[j] * wbar**j by Horner, seeded with the last nonzero
+    entry of row (which must have one; trailing zeros are popped off row);
+    zero entries are multiplied through, not added."""
+    while not row[-1]:
+        row.pop()
+    out.fill(row[-1])
+    for coef in row[-2::-1]:
+        out *= wbar
+        if coef:
+            out += coef
+    return out
 
 
 class PolyZZbar:
@@ -296,9 +335,12 @@ class PolyZZbar:
     def eval(self, w):
         """Evaluate at z = w, zbar = conj(w); w may be a scalar or ndarray.
 
-        Nested Horner accumulation over the coefficient array: the inner loop
-        runs Horner in conj(w) along a row from its last nonzero entry down,
-        the outer loop in w over the rows.
+        Nested Horner over the coefficient array: the outer loop runs Horner in
+        w over the rows from the top one down, starting from the top row's
+        value, and each row's inner Horner in conj(w) starts from that row's
+        last nonzero coefficient.  A zero coefficient costs one multiplication
+        and no addition, an all-zero row only the outer multiplication, and a
+        row whose one nonzero coefficient is its first adds that scalar.
         """
         scalar = np.isscalar(w) or isinstance(w, complex)
         c = self._c
@@ -306,20 +348,15 @@ class PolyZZbar:
             return 0j if scalar else np.zeros(np.shape(w), dtype=complex)
         wv = np.asarray(w, dtype=complex)
         wbar = np.conjugate(wv)
-        nonzero = c != 0
-        # each row's length up to its last nonzero entry, 0 for an all-zero row
-        lengths = np.where(
-            nonzero.any(axis=1), c.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0
-        )
-        acc = np.zeros_like(wv)
+        rows = c[::-1].tolist()
+        acc = _horner_row(rows[0], wbar, np.empty_like(wv))
         inner = np.empty_like(wv)
-        for row, n in zip(c[::-1], lengths[::-1].tolist()):
-            inner.fill(0)
-            for coef in row[n - 1 :: -1] if n else ():
-                inner *= wbar
-                inner += coef
+        for row in rows[1:]:
             acc *= wv
-            acc += inner
+            if any(row[1:]):
+                acc += _horner_row(row, wbar, inner)
+            elif row[0]:
+                acc += row[0]
         return complex(acc) if scalar else acc
 
     # -- utilities ----------------------------------------------------------
@@ -487,26 +524,57 @@ class PolyWWbar:
     def eval(self, ws: Sequence) -> complex | np.ndarray:
         """Evaluate at slot values ws (scalars or broadcastable arrays).
 
-        Each power w_i**e and wbar_i**e that some term uses is computed once
-        and shared by every term, in the same arithmetic as ``w ** e``.
+        Nested Horner over the exponent positions: the terms are grouped by
+        their first exponent, Horner runs in that variable over the groups,
+        and each group's value is the same evaluation of the rest of its keys
+        (see :func:`_nested_horner`).  The variables that some term raises to
+        a positive power are broadcast to one shape first; a constant outer
+        gives a scalar.
         """
         if len(ws) != self._n_slots:
             raise ValueError("wrong number of slot values")
         ws = [np.asarray(w, dtype=complex) for w in ws]
-        bases = [b for w in ws for b in (w, np.conjugate(w))]
-        powers: dict[tuple[int, int], np.ndarray] = {}
-        acc: np.ndarray | complex = 0j
-        for key, c in self._terms.items():
-            term = np.asarray(c, dtype=complex)
-            for pos, e in enumerate(key):
-                if e:
-                    if (pos, e) not in powers:
-                        powers[pos, e] = bases[pos] ** e
-                    term = term * powers[pos, e]
-            acc = acc + term
+        if not self._terms:
+            return 0j
+        items = sorted(self._terms.items())
+        used = [pos for pos in range(2 * self._n_slots) if any(k[pos] for k, _ in items)]
+        bases: list = [None] * (2 * self._n_slots)
+        values = [np.conjugate(ws[pos // 2]) if pos % 2 else ws[pos // 2] for pos in used]
+        for pos, b in zip(used, np.broadcast_arrays(*values)):
+            bases[pos] = b
+        acc = _nested_horner(items, 0, bases)
         if all(w.ndim == 0 for w in ws):
             return complex(acc)
+        return acc if isinstance(acc, np.ndarray) else np.complex128(acc)
+
+
+def _nested_horner(items: list, pos: int, bases: list):
+    """sum of c * prod_{p >= pos} bases[p] ** key[p] over the (key, c) items,
+    which are sorted and share key[:pos]: Horner in bases[pos] over the groups
+    of equal key[pos], each group evaluated the same way from pos + 1.
+
+    Every array this returns is new, so callers may update it in place.
+    """
+    if len(items) == 1:
+        key, acc = items[0]
+        for p in range(pos, len(key)):
+            for _ in range(key[p]):
+                acc *= bases[p]
         return acc
+    groups = [(e, list(g)) for e, g in itertools.groupby(items, key=lambda kc: kc[0][pos])]
+    acc = None
+    for e, group in reversed(groups):
+        value = _nested_horner(group, pos + 1, bases)
+        if acc is None:
+            acc = value
+        else:
+            for _ in range(e_prev - e):
+                acc *= bases[pos]
+            acc += value
+        e_prev = e
+    for _ in range(e_prev):
+        acc *= bases[pos]
+    return acc
 
 
 class MonomialTable:
@@ -555,18 +623,9 @@ class MonomialTable:
             raise ValueError(
                 f"outer has {outer.n_slots} slots but {self.n_slots} inner polynomials given"
             )
-        terms = [(c, self._monomial(key)._c) for key, c in outer.terms.items()]
-        out = np.zeros(
-            (max((m.shape[0] for _, m in terms), default=0),
-             max((m.shape[1] for _, m in terms), default=0)),
-            dtype=complex,
+        return _wrap(
+            PolyZZbar, _lincomb([(c, self._monomial(key)._c) for key, c in outer.terms.items()])
         )
-        # The sum starts at +0, and x + y is -0 only when x and y both are, so
-        # no zero of the result is negative: the signed zeros are those of
-        # adding the terms one by one with PolyZZbar.__add__.
-        for c, m in terms:
-            out[: m.shape[0], : m.shape[1]] += c * m
-        return _wrap(PolyZZbar, _trim(out))
 
 
 def compose(outer: PolyWWbar | PolyZZbar, inner) -> PolyZZbar:

@@ -325,6 +325,33 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "operator", "gamma", "--phi", phi, "--theta", "0.3")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "phi, position",
+        [
+            ("1e400*z", 0),  # literal overflows to inf
+            ("z + 1e999", 4),
+            ("2^3000*z", 2),  # power overflows
+            ("1e200*1e200*z", 5),  # product overflows
+            ("(1e200*z)^2", 10),
+            ("1e308*z + 1e308*z", 8),  # sum overflows
+            pytest.param("z^" + "9" * 4400, 2, id="z^(4400 digits)"),  # too long for int()
+            pytest.param("(z - z)^" + "1" * 4301, 8, id="(z - z)^(4301 digits)"),
+        ],
+    )
+    def test_non_finite_literal(self, capsys, phi, position):
+        code, out, err = run_cli(capsys, "operator", "gamma", "--phi", phi, "--theta", "0.3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"at position {position}" in err
+
+    @pytest.mark.parametrize("phi", ["1e300*z", "1e-300*z + 2^1000", "(1e100*z)^3"])
+    def test_large_finite_literal(self, capsys, phi):
+        code, out, _ = run_cli(
+            capsys, "operator", "gamma", "--phi", phi, "--psi", "1", "--theta", "0.3"
+        )
+        assert code == 0
+        assert parse_envelope(out)["pass"] is True
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "semigroup", "apply", "--theta", "0", "--t", "1",

@@ -34,6 +34,10 @@ class TestParsing:
         assert parse_poly("i*i") == PolyZZbar.constant(-1.0)
         assert parse_poly("i^2 + 1") == PolyZZbar.zero()
 
+    def test_large_finite_numbers(self):
+        assert parse_poly("1e300*z") == PolyZZbar({(1, 0): 1e300})
+        assert parse_poly("2^1000") == PolyZZbar.constant(2.0**1000)
+
     def test_whitespace_insensitive(self):
         assert parse_poly("  z *  zbar-2 ") == parse_poly("z*zbar - 2")
 
@@ -66,6 +70,15 @@ class TestErrors:
     def test_trailing_garbage(self):
         with pytest.raises(ExprError):
             parse_poly("z )")
+
+    @pytest.mark.parametrize("text", ["1e400", "2^3000*z", "1e200*1e200*z", "1e308 + 1e308"])
+    def test_non_finite_coefficient(self, text):
+        with pytest.raises(ExprError, match="not finite"):
+            parse_poly(text)
+
+    def test_exponent_too_long(self):
+        with pytest.raises(ExprError, match="too long at position 2"):
+            parse_poly("z^" + "7" * 5000)
 
     def test_error_is_a_value_error(self):
         with pytest.raises(ValueError):

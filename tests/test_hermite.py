@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complexou import (
     PolyZZbar,
@@ -24,6 +26,7 @@ from complexou import (
     real_hermite,
     synthesize,
 )
+from complexou.hermite import MAX_TRANSFORM_DEGREE
 
 SQRT2 = math.sqrt(2.0)
 
@@ -183,9 +186,12 @@ class TestBasisTransform:
                     )
                 assert (rebuilt - products[k]).max_abs_coeff() <= 1e-9
 
+    def test_residual_at_the_degree_limit(self):
+        assert build_basis_transform(MAX_TRANSFORM_DEGREE).residual() <= 1e-10
+
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):
-            build_basis_transform(17)
+            build_basis_transform(65)
 
 
 class TestMonomialExpansion:
@@ -243,3 +249,43 @@ def test_spectral_coeffs_json_roundtrip():
 def test_spectral_coeffs_sorted_by_total_degree():
     coeffs = SpectralCoeffs({(2, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0})
     assert [key for key, _ in coeffs.items_sorted()] == [(0, 1), (1, 0), (2, 0)]
+
+
+def same_bits(x, y):
+    """Equal shapes and entries, sign bits of zero parts included."""
+    return (
+        np.array_equal(x, y)
+        and np.array_equal(np.signbit(x.real), np.signbit(y.real))
+        and np.array_equal(np.signbit(x.imag), np.signbit(y.imag))
+    )
+
+
+float_coeffs = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+degree_10_keys = st.tuples(st.integers(0, 10), st.integers(0, 10)).filter(lambda k: sum(k) <= 10)
+
+
+class TestOneArraySums:
+    """synthesize and project_monomials sum in one array; they must equal the
+    term-by-term ``+`` loop over the same scaled basis polynomials."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.dictionaries(degree_10_keys, float_coeffs, max_size=30))
+    def test_synthesize_matches_termwise_sum(self, terms):
+        coeffs = SpectralCoeffs(terms)
+        reference = PolyZZbar.zero()
+        for (m, n), c in coeffs.items_sorted():
+            reference = reference + complex_hermite(m, n) * c
+        assert same_bits(synthesize(coeffs)._c, reference._c)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.dictionaries(degree_10_keys, float_coeffs, max_size=30))
+    def test_project_monomials_matches_termwise_sum(self, terms):
+        p = PolyZZbar(terms)
+        reference = SpectralCoeffs()
+        for (a, b), c in p.items_sorted():
+            reference = reference + monomial_to_hermite(a, b) * c
+        assert same_bits(project_monomials(p)._c, reference._c)
+
+    def test_empty_sums(self):
+        assert synthesize(SpectralCoeffs()) == PolyZZbar.zero()
+        assert project_monomials(PolyZZbar.zero()) == SpectralCoeffs()

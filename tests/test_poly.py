@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexou import PolyWWbar, PolyZZbar, complex_hermite, compose
+from complexou import PolyWWbar, PolyZZbar, complex_hermite, compose, gauss_hermite_rule
 from complexou.poly import MonomialTable
 
 Z = PolyZZbar.z()
@@ -494,3 +494,105 @@ class TestOuterProperties:
             assert all(c != 0 for c in result.terms.values())
             assert all(type(e) is int for key in result.terms for e in key)
         assert not (f - f).terms
+
+
+def full_horner(p, w):
+    """PolyZZbar.eval as the full nested Horner loop: every row's inner loop
+    starts from 0 and adds each coefficient up to the row's last nonzero one,
+    and the accumulator starts from 0 (the reference for the seeded loop)."""
+    c = p._c
+    wv = np.asarray(w, dtype=complex)
+    wbar = np.conjugate(wv)
+    acc = np.zeros_like(wv)
+    inner = np.empty_like(wv)
+    for row in c[::-1]:
+        n = np.flatnonzero(row).max() + 1 if row.any() else 0
+        inner.fill(0)
+        for coef in row[n - 1 :: -1] if n else ():
+            inner *= wbar
+            inner += coef
+        acc *= wv
+        acc += inner
+    return acc
+
+
+def kernel_eval_points():
+    """Odd-order tensor grids (their nodes hold exact-zero parts), the
+    points 0 and -0.0, and a few off-grid points."""
+    grids = [gauss_hermite_rule(k).tensor_points()[0] for k in (5, 9)]
+    extra = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1j, -2.5, 0.3 - 1.7j]
+    return np.concatenate(grids + [np.array(extra)])
+
+
+def termwise_outer_sum(f, ws):
+    """sum c * prod_pos base[pos] ** key[pos] term by term, and its scale
+    sum |c| * prod |base[pos]| ** key[pos]."""
+    bases = [b for w in ws for b in (np.asarray(w, dtype=complex), np.conjugate(w))]
+    total, scale = 0j, 0.0
+    for key, c in f.terms.items():
+        term, size = c, abs(c)
+        for b, e in zip(bases, key):
+            term = term * b**e
+            size = size * np.abs(b) ** e
+        total, scale = total + term, scale + size
+    return total, scale
+
+
+class TestPointwiseKernels:
+    POINTS = kernel_eval_points()
+
+    def assert_matches_full_horner(self, p):
+        assert np.array_equal(p.eval(self.POINTS), full_horner(p, self.POINTS))
+        for w in self.POINTS[-7:]:
+            assert p.eval(complex(w)) == complex(full_horner(p, complex(w)))
+
+    def test_dense_random_polynomials(self):
+        rng = np.random.default_rng(17)
+        for degree in range(9):
+            self.assert_matches_full_horner(float_poly(rng, degree))
+            self.assert_matches_full_horner(int_poly(rng, degree))
+
+    def test_complex_hermite_basis(self):
+        for m in range(11):
+            for n in range(11 - m):
+                self.assert_matches_full_horner(complex_hermite(m, n))
+
+    @pytest.mark.parametrize("coef", [1.0, -2.5, 1j, -0.75j, 1 - 1j])
+    def test_monomials(self, coef):
+        for a in range(4):
+            for b in range(4):
+                self.assert_matches_full_horner(PolyZZbar.monomial(a, b, coef))
+        # rows with a lone leading coefficient, zero rows and inner zeros
+        self.assert_matches_full_horner(
+            PolyZZbar({(4, 0): coef, (2, 0): 3.0, (2, 3): coef, (0, 0): -1.0})
+        )
+
+    @PROPERTY
+    @given(
+        st.data(),
+        st.integers(1, 3),
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * 6),
+            st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
+            max_size=12,
+        ),
+    )
+    def test_outer_eval_matches_termwise_sum(self, data, n_slots, terms):
+        f = PolyWWbar(n_slots, {key[: 2 * n_slots]: c for key, c in terms.items()})
+        points = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+        ws = [np.array(data.draw(st.lists(points, min_size=4, max_size=4))) for _ in range(n_slots)]
+        got = f.eval(ws)
+        want, scale = termwise_outer_sum(f, ws)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        scalar = f.eval([complex(w[0]) for w in ws])
+        assert isinstance(scalar, complex)
+        assert abs(scalar - complex(np.ravel(want)[0])) <= 1e-13 * np.ravel(scale)[0]
+
+    def test_outer_eval_return_shapes(self):
+        ws = [np.ones(3), np.ones((2, 3))]
+        constant = PolyWWbar.constant(2.5, 2).eval(ws)
+        assert type(constant) is np.complex128 and np.shape(constant) == () and constant == 2.5
+        assert PolyWWbar(2).eval(ws) == 0j
+        assert PolyWWbar(2, {(1, 0, 0, 0): 1.0}).eval(ws).shape == (3,)
+        assert PolyWWbar(2, {(1, 0, 0, 2): 1.0}).eval(ws).shape == (2, 3)
+        assert type(PolyWWbar.constant(2.5, 2).eval([1, 2j])) is complex
