@@ -118,7 +118,8 @@ def random_coeffs(rng: np.random.Generator, max_degree: int) -> SpectralCoeffs:
 
 def random_outer(rng: np.random.Generator, n_slots: int, max_degree: int) -> PolyWWbar:
     """Random outer function of total degree <= max_degree in n complex slots."""
-    return PolyWWbar(n_slots, _random_normals(rng, 2 * n_slots, max_degree))
+    # the keys are valid by construction and the values Python complex
+    return PolyWWbar._unchecked(n_slots, _random_normals(rng, 2 * n_slots, max_degree))
 
 
 def random_points(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -3,7 +3,9 @@
 Output contract: one JSON report envelope on stdout per invocation
 ({command, inputs, results, max_residual?, pass, version, seed?}); anything
 human-readable goes to stderr (enable with --pretty).  Exit codes: 0 pass,
-1 verification failure, 2 usage error.
+1 verification failure, 2 usage error (a float argument must be finite) or a
+non-finite result (an envelope holding an infinity or a NaN is not JSON, so
+none is written, and neither is a CSV).
 
 Polynomial arguments (--phi/--psi) use the little expression grammar from
 :mod:`.expr`: tokens z, zbar, i, numbers, + - * ^ ( ), e.g. "z*zbar - 2" or
@@ -29,6 +31,15 @@ from .operator import (
 )
 from .semigroup import PropagatorParams, semigroup_spectral
 from .spectral import SpectralCoeffs
+
+
+def _json_text(obj) -> str:
+    """obj as compact JSON; ValueError if it holds an infinity or a NaN,
+    which JSON cannot represent."""
+    try:
+        return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise ValueError("the result is not finite; nothing written") from None
 
 
 def _envelope(command, inputs, results, *, max_residual=None, tol=None, seed=None, passed=None):
@@ -284,6 +295,7 @@ def _cmd_sde_simulate(args) -> dict:
             }
         )
     if args.csv is not None:
+        _json_text(moments)  # no CSV for a run whose envelope cannot be written
         _write_csv(args.csv, ensemble)
     return _envelope(
         "sde simulate",
@@ -348,10 +360,18 @@ def _cmd_verify_all(args) -> dict:
 # -- parser ------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float other than an infinity or a NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _add_common(parser, *, tol=False, seed=False):
     parser.add_argument("--pretty", action="store_true", help="render a summary table on stderr")
     if tol:
-        parser.add_argument("--tol", type=float, default=None, help="override the pass tolerance")
+        parser.add_argument("--tol", type=_finite_float, default=None, help="override the pass tolerance")
     if seed:
         parser.add_argument("--seed", type=int, default=checks.DEFAULT_SEED, help="RNG seed")
 
@@ -422,7 +442,7 @@ def _build_parser(words=None) -> argparse.ArgumentParser | None:
     osub = group("operator", "generator, carre du champ, chain rule")
 
     if p := command(osub, "eigen", "eigenvalue lambda[m,n] of the generator"):
-        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--theta", type=_finite_float, required=True)
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
         _add_common(p)
@@ -431,19 +451,19 @@ def _build_parser(words=None) -> argparse.ArgumentParser | None:
     if p := command(osub, "gamma", "carre du champ of two polynomial literals"):
         p.add_argument("--phi", type=str, required=True)
         p.add_argument("--psi", type=str, default=None, help="defaults to --phi")
-        p.add_argument("--theta", type=float, default=0.0, help="angle for the generator route")
+        p.add_argument("--theta", type=_finite_float, default=0.0, help="angle for the generator route")
         _add_common(p, tol=True)
         p.set_defaults(handler=_cmd_operator_gamma)
 
     if p := command(osub, "chain-rule", "second-order chain rule residual suite"):
-        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--theta", type=_finite_float, required=True)
         p.add_argument("--degree", type=int, default=3, help="inner polynomial degree")
         p.add_argument("--cases", type=int, default=100)
         _add_common(p, tol=True, seed=True)
         p.set_defaults(handler=_cmd_operator_chain_rule)
 
     if p := command(osub, "normality", "L L* = L* L on random polynomials"):
-        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--theta", type=_finite_float, required=True)
         p.add_argument("--degree", type=int, default=6)
         _add_common(p, tol=True, seed=True)
         p.set_defaults(handler=_cmd_operator_normality)
@@ -451,23 +471,23 @@ def _build_parser(words=None) -> argparse.ArgumentParser | None:
     ssub = group("semigroup", "P_t in spectral and Mehler form")
 
     if p := command(ssub, "apply", "apply the spectral multiplier to coefficients"):
-        p.add_argument("--theta", type=float, default=None, help="overrides the input file's theta")
-        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--theta", type=_finite_float, default=None, help="overrides the input file's theta")
+        p.add_argument("--t", type=_finite_float, required=True)
         p.add_argument("--input", type=str, required=True, help="coefficients JSON ('-' for stdin)")
         _add_common(p)
         p.set_defaults(handler=_cmd_semigroup_apply)
 
     if p := command(ssub, "verify-normal", "commutation and fused-form residuals"):
-        p.add_argument("--theta", type=float, required=True)
-        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--theta", type=_finite_float, required=True)
+        p.add_argument("--t", type=_finite_float, required=True)
         p.add_argument("--degree", type=int, default=5)
         p.add_argument("--points", type=int, default=5)
         _add_common(p, tol=True, seed=True)
         p.set_defaults(handler=_cmd_semigroup_verify_normal)
 
     if p := command(ssub, "invariance", "gamma-invariance residual suite"):
-        p.add_argument("--theta", type=float, required=True)
-        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--theta", type=_finite_float, required=True)
+        p.add_argument("--t", type=_finite_float, required=True)
         p.add_argument("--degree", type=int, default=8)
         _add_common(p, tol=True, seed=True)
         p.set_defaults(handler=_cmd_semigroup_invariance)
@@ -475,21 +495,21 @@ def _build_parser(words=None) -> argparse.ArgumentParser | None:
     sdsub = group("sde", "Monte Carlo simulation of the SDE")
 
     if p := command(sdsub, "simulate", "sample paths; JSON moments, optional CSV"):
-        p.add_argument("--theta", type=float, required=True)
-        p.add_argument("--x0-re", type=float, default=0.0)
-        p.add_argument("--x0-im", type=float, default=0.0)
-        p.add_argument("--t", type=float, nargs="+", required=True, help="recording times (> 0)")
+        p.add_argument("--theta", type=_finite_float, required=True)
+        p.add_argument("--x0-re", type=_finite_float, default=0.0)
+        p.add_argument("--x0-im", type=_finite_float, default=0.0)
+        p.add_argument("--t", type=_finite_float, nargs="+", required=True, help="recording times (> 0)")
         p.add_argument("--paths", type=int, required=True)
         p.add_argument("--scheme", choices=sde.SCHEMES, default="exact")
-        p.add_argument("--dt", type=float, default=None, help="euler step (required for euler)")
+        p.add_argument("--dt", type=_finite_float, default=None, help="euler step (required for euler)")
         p.add_argument("--csv", type=str, default=None, help="write (path_id,t,re,im) rows here")
         _add_common(p, seed=True)
         p.set_defaults(handler=_cmd_sde_simulate)
 
     if p := command(sdsub, "stationarity", "long-run law vs the invariant Gaussian"):
-        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--theta", type=_finite_float, required=True)
         p.add_argument("--paths", type=int, required=True)
-        p.add_argument("--t-burn", type=float, default=None, help="default: 6 ln10 / cos(theta)")
+        p.add_argument("--t-burn", type=_finite_float, default=None, help="default: 6 ln10 / cos(theta)")
         _add_common(p, tol=True, seed=True)
         p.set_defaults(handler=_cmd_sde_stationarity)
 
@@ -539,11 +559,14 @@ def main(argv=None) -> int:
     parser = _build_parser(argv[:2]) or build_parser()
     args = parser.parse_args(argv)
     try:
-        env = args.handler(args)
+        # an overflow shows as a non-finite result below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            env = args.handler(args)
+        text = _json_text(env)
     except (ExprError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(env, separators=(",", ":")))
+    print(text)
     if getattr(args, "pretty", False):
         _pretty(env, sys.stderr)
     return 0 if env["pass"] else 1

@@ -43,7 +43,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .poly import PolyZZbar, _lincomb, _wrap
+from .poly import _Z, _ZBAR, PolyZZbar, _lincomb, _wrap
 from .spectral import MAX_TOTAL_DEGREE, SpectralCoeffs
 
 _LN2 = math.log(2.0)
@@ -114,8 +114,8 @@ def hermite_product_poly(kx: int, ky: int) -> PolyZZbar:
     Substitutes x = (z + zbar)/2 and y = -i(z - zbar)/2 and multiplies out;
     used to cross-check the basis transform against exact polynomial algebra.
     """
-    x = (PolyZZbar.z() + PolyZZbar.zbar()) * 0.5
-    y = (PolyZZbar.z() - PolyZZbar.zbar()) * (-0.5j)
+    x = (_Z + _ZBAR) * 0.5
+    y = (_Z - _ZBAR) * (-0.5j)
 
     def horner(coeffs: np.ndarray, arg: PolyZZbar) -> PolyZZbar:
         acc = PolyZZbar.zero()
@@ -128,12 +128,12 @@ def hermite_product_poly(kx: int, ky: int) -> PolyZZbar:
 
 def creation_z(p: PolyZZbar) -> PolyZZbar:
     """Creation operator a*: the L2(gamma)-adjoint of d/dz."""
-    return -p.wirtinger_dzbar() + PolyZZbar.z() * p * 0.5
+    return -p.wirtinger_dzbar() + _Z * p * 0.5
 
 
 def creation_zbar(p: PolyZZbar) -> PolyZZbar:
     """Creation operator abar*: the L2(gamma)-adjoint of d/dzbar."""
-    return -p.wirtinger_dz() + PolyZZbar.zbar() * p * 0.5
+    return -p.wirtinger_dz() + _ZBAR * p * 0.5
 
 
 def _check_degrees(m: int, n: int, limit: int) -> None:
@@ -146,13 +146,14 @@ def complex_hermite(m: int, n: int) -> PolyZZbar:
     """Complex Hermite polynomial J[m,n] from the explicit closed form."""
     _check_degrees(m, n, MAX_TOTAL_DEGREE)
     log_norm = -0.5 * (math.lgamma(m + 1) + math.lgamma(n + 1) + (m + n) * _LN2)
-    terms: dict[tuple[int, int], complex] = {}
+    # the band [m - r, n - r]; the r = 0 corner is nonzero, so c is trimmed
+    c = np.zeros((m + 1, n + 1), dtype=complex)
     for r in range(min(m, n) + 1):
         mag = math.comb(m, r) * math.comb(n, r) * math.exp(
             math.lgamma(r + 1) + r * _LN2 + log_norm
         )
-        terms[(m - r, n - r)] = complex((-1) ** r * mag)
-    return PolyZZbar(terms)
+        c[m - r, n - r] = (-1) ** r * mag
+    return _wrap(PolyZZbar, c)
 
 
 def _creation_scale(m: int, n: int) -> float:
@@ -199,14 +200,14 @@ def monomial_to_hermite(m: int, n: int) -> SpectralCoeffs:
                  sqrt((m-k)! (n-k)! 2^(m+n)) J[m-k, n-k].
     """
     _check_degrees(m, n, MAX_TOTAL_DEGREE)
-    terms: dict[tuple[int, int], complex] = {}
+    # the band [m - k, n - k]; the k = 0 corner is nonzero, so c is trimmed
+    c = np.zeros((m + 1, n + 1), dtype=complex)
     for k in range(min(m, n) + 1):
-        mag = math.comb(m, k) * math.comb(n, k) * math.exp(
+        c[m - k, n - k] = math.comb(m, k) * math.comb(n, k) * math.exp(
             math.lgamma(k + 1)
             + 0.5 * (math.lgamma(m - k + 1) + math.lgamma(n - k + 1) + (m + n) * _LN2)
         )
-        terms[(m - k, n - k)] = complex(mag)
-    return SpectralCoeffs(terms)
+    return _wrap(SpectralCoeffs, c)
 
 
 def synthesize(coeffs: SpectralCoeffs) -> PolyZZbar:

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import MonomialTable, PolyZZbar, PolyWWbar, compose
+from .poly import _Z, _ZBAR, MonomialTable, PolyZZbar, PolyWWbar, compose
 from .spectral import SpectralCoeffs
 
 # cos(theta) must stay strictly positive; reject angles where the diffusion
@@ -98,8 +98,8 @@ def apply_generator_wirtinger(params: GeneratorParams, phi: PolyZZbar) -> PolyZZ
     dzbar = phi.wirtinger_dzbar()
     return (
         dz.wirtinger_dzbar() * c
-        - PolyZZbar.z() * dz * drift
-        - PolyZZbar.zbar() * dzbar * drift.conjugate()
+        - _Z * dz * drift
+        - _ZBAR * dzbar * drift.conjugate()
     )
 
 

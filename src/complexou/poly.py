@@ -36,6 +36,11 @@ and shares the module-level array helpers (``_from_terms``, ``_sum``,
 ``_times``, ``_wrap``, ``_term_map``); ``_lincomb`` sums a linear combination
 of such arrays in one array, for compositions and basis sums.
 
+Ops act on the nonzero entries only (one masked ufunc call), so the zeros
+stay +0.  A difference is one masked ``np.subtract``: IEEE ``x - y`` is
+exactly ``x + (-y)``, so it has the bits of adding the negation.
+:func:`_trim` tests corner entries before it counts or scans.
+
 :class:`PolyWWbar` generalizes to n complex slots (w_1, wbar_1, ..., w_n,
 wbar_n) with a sparse map of exponent tuples, evaluated by nested Horner over
 the exponent positions; it exists to express outer functions F for
@@ -64,8 +69,17 @@ _EMPTY.setflags(write=False)
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
-    """Drop trailing all-zero rows and columns; (0, 0) when nothing is left."""
-    if c.size and np.count_nonzero(c[-1]) and np.count_nonzero(c[:, -1]):
+    """Drop trailing all-zero rows and columns; (0, 0) when nothing is left.
+
+    A nonzero ``[-1, -1]`` corner, or nonzero ``[-1, 0]`` and ``[0, -1]``
+    corners, show that the last row and column hold a nonzero entry; only
+    otherwise are they counted, and only if one is all zero is c scanned.
+    """
+    if c.size and (
+        c[-1, -1]
+        or (c[-1, 0] and c[0, -1])
+        or (np.count_nonzero(c[-1]) and np.count_nonzero(c[:, -1]))
+    ):
         return c
     rows, cols = np.nonzero(c)
     if not rows.size:
@@ -75,16 +89,7 @@ def _trim(c: np.ndarray) -> np.ndarray:
 
 def _on_nonzero(ufunc: np.ufunc, c: np.ndarray, *args) -> np.ndarray:
     """``ufunc(c, *args)`` on the nonzero entries of c; the others stay +0."""
-    return ufunc(c, *args, out=np.zeros_like(c), where=c != 0)
-
-
-def _pad(c: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """c zero-padded at the high end to ``shape``."""
-    if c.shape == shape:
-        return c
-    out = np.zeros(shape, dtype=complex)
-    out[: c.shape[0], : c.shape[1]] = c
-    return out
+    return ufunc(c, *args, out=np.zeros(c.shape, complex), where=c.astype(bool))
 
 
 def _times(c: np.ndarray, factor) -> np.ndarray:
@@ -103,19 +108,29 @@ def _from_terms(terms: Mapping[tuple[int, int], complex] | None, what: str) -> n
             entries.append((int(i), int(j), v))
     if not entries:
         return _EMPTY
-    c = np.zeros((max(e[0] for e in entries) + 1, max(e[1] for e in entries) + 1), complex)
+    rows, cols, _ = zip(*entries)
+    c = np.zeros((max(rows) + 1, max(cols) + 1), complex)
     for i, j, v in entries:
         c[i, j] = v
     c.setflags(write=False)
     return c
 
 
-def _sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Trimmed x + y; where y is zero, x's entry is kept, signed zeros included."""
-    out = np.zeros((max(x.shape[0], y.shape[0]), max(x.shape[1], y.shape[1])), dtype=complex)
-    out[: x.shape[0], : x.shape[1]] = x
-    overlap = out[: y.shape[0], : y.shape[1]]
-    np.add(overlap, y, out=overlap, where=y != 0)
+def _sum(x: np.ndarray, y: np.ndarray, ufunc: np.ufunc = np.add) -> np.ndarray:
+    """Trimmed x + y, or x - y with ``ufunc=np.subtract``; where y is zero,
+    x's entry is kept, signed zeros included.
+
+    IEEE ``x - y`` is exactly ``x + (-y)``, so a difference has the bits of
+    adding the negation that :meth:`PolyZZbar.__neg__` builds, without it.
+    """
+    (xr, xc), (yr, yc) = x.shape, y.shape
+    if yr <= xr and yc <= xc:
+        out = x.copy()
+    else:
+        out = np.zeros((max(xr, yr), max(xc, yc)), complex)
+        out[:xr, :xc] = x
+    overlap = out[:yr, :yc]
+    ufunc(overlap, y, out=overlap, where=y.astype(bool))
     return _trim(out)
 
 
@@ -283,7 +298,9 @@ class PolyZZbar:
         return _wrap(PolyZZbar, _on_nonzero(np.negative, self._c))
 
     def __sub__(self, other: "PolyZZbar" | Scalar) -> "PolyZZbar":
-        return self + (-other if isinstance(other, PolyZZbar) else -complex(other))
+        if not isinstance(other, PolyZZbar):
+            other = PolyZZbar.constant(other)
+        return _wrap(PolyZZbar, _sum(self._c, other._c, np.subtract))
 
     def __rsub__(self, other: Scalar) -> "PolyZZbar":
         return (-self) + other
@@ -296,13 +313,16 @@ class PolyZZbar:
         x, y = self._c, other._c
         if not x.size or not y.size:
             return _wrap(PolyZZbar, _EMPTY)
-        # Pad both to the product's row width; then the flat 1-D convolution
-        # lands [a1, b1] * [a2, b2] on flat index (a1 + a2) * width + b1 + b2.
-        rows = x.shape[0] + y.shape[0] - 1
-        width = x.shape[1] + y.shape[1] - 1
-        flat = np.convolve(
-            _pad(x, (x.shape[0], width)).ravel(), _pad(y, (y.shape[0], width)).ravel()
-        )
+        # Pad both to the product's row width, stacked in one zero array; then
+        # the flat 1-D convolution of the two blocks lands [a1, b1] * [a2, b2]
+        # on flat index (a1 + a2) * width + b1 + b2.
+        (xr, xc), (yr, yc) = x.shape, y.shape
+        width = xc + yc - 1
+        padded = np.zeros((xr + yr, width), complex)
+        padded[:xr, :xc] = x
+        padded[xr:, :yc] = y
+        flat = np.convolve(padded[:xr].ravel(), padded[xr:].ravel())
+        rows = xr + yr - 1
         return _wrap(PolyZZbar, _trim(flat[: rows * width].reshape(rows, width)))
 
     def __rmul__(self, other: Scalar) -> "PolyZZbar":
@@ -319,12 +339,14 @@ class PolyZZbar:
     def wirtinger_dz(self) -> "PolyZZbar":
         """Formal d/dz: (a, b) -> (a-1, b) with factor a; zbar held constant."""
         c = self._c
-        return _wrap(PolyZZbar, _trim(c[1:] * np.arange(1, c.shape[0])[:, None]))
+        factors = np.arange(1, c.shape[0], dtype=complex)[:, None]
+        return _wrap(PolyZZbar, _trim(c[1:] * factors))
 
     def wirtinger_dzbar(self) -> "PolyZZbar":
         """Formal d/dzbar: (a, b) -> (a, b-1) with factor b; z held constant."""
         c = self._c
-        return _wrap(PolyZZbar, _trim(c[:, 1:] * np.arange(1, c.shape[1])))
+        factors = np.arange(1, c.shape[1], dtype=complex)
+        return _wrap(PolyZZbar, _trim(c[:, 1:] * factors))
 
     def conjugate(self) -> "PolyZZbar":
         """Pointwise complex conjugate: swap exponents, conjugate coefficients."""
@@ -389,6 +411,11 @@ class PolyZZbar:
     @classmethod
     def from_json(cls, text: str) -> "PolyZZbar":
         return cls.from_json_obj(json.loads(text))
+
+
+# the monomials z and zbar, built once for the operators that multiply by them
+_Z = PolyZZbar.z()
+_ZBAR = PolyZZbar.zbar()
 
 
 class PolyWWbar:

@@ -344,6 +344,59 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and f"at position {position}" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("operator", "gamma", "--phi", "1e300*z", "--theta", "0.3"),
+            ("operator", "gamma", "--phi", "1e300*z", "--psi", "1e10*z^2", "--theta", "-1.2"),
+            ("operator", "gamma", "--phi", "1e200*z^2", "--theta", "0"),
+        ],
+    )
+    def test_non_finite_result(self, capsys, argv):
+        # each literal is finite, but Gamma overflows: no envelope can be JSON
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_result_writes_no_csv(self, capsys, tmp_path):
+        # the states are finite, but |z|^2 overflows in the moments
+        f = tmp_path / "paths.csv"
+        code, out, err = run_cli(
+            capsys, "sde", "simulate", "--theta", "0.3", "--x0-re", "1e308", "--t", "0.5",
+            "--paths", "4", "--csv", str(f),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
+        assert not f.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("operator", "gamma", "--phi", "z", "--tol", "inf"),
+            ("operator", "gamma", "--phi", "z", "--theta=-inf"),
+            ("sde", "simulate", "--theta", "0.3", "--x0-re", "nan", "--t", "1", "--paths", "4"),
+            ("sde", "simulate", "--theta", "0.3", "--t", "1", "inf", "--paths", "4"),
+        ],
+    )
+    def test_non_finite_float_argument(self, capsys, argv):
+        # bad input is a usage error, not a non-finite result
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert "usage:" in err and "not a finite number" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_result_warns_nothing(self, capsys):
+        # outside pytest a numpy overflow warning would precede the error line
+        code, _, err = run_cli(capsys, "operator", "gamma", "--phi", "1e300*z", "--theta", "0.3")
+        assert code == 2
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("phi", ["1e300*z", "1e-300*z + 2^1000", "(1e100*z)^3"])
     def test_large_finite_literal(self, capsys, phi):
         code, out, _ = run_cli(
@@ -432,6 +485,7 @@ class TestBranchParser:
         (("verify-all", "--paths", "10", "--degree", "3"), ("exit", 2)),
         (("semigroup", "verify-normal", "--theta", "0.3", "--t", "0.5", "--degree", "3"), 0),
         (("quad", "selftest", "--order", "6"), 1),  # too few nodes: fails
+        (("operator", "gamma", "--phi", "1e300*z", "--theta", "0.3"), 2),  # Gamma overflows
         ((), ("exit", 2)),
         (("hermite",), ("exit", 2)),
         (("hermite", "bogus"), ("exit", 2)),

@@ -111,6 +111,38 @@ class TestGeneratorWirtingerForm:
                     resid = (apply_generator_wirtinger(params, j) - target).max_abs_coeff()
                     assert resid <= 1e-9 * max(1.0, target.max_abs_coeff())
 
+    @staticmethod
+    def fresh_monomial_generator(params, phi):
+        """The generator with new z and zbar monomials built on each call and
+        each difference taken as the sum with the negation."""
+        c = 4.0 * params.cos_theta
+        drift = params.drift
+        dz = phi.wirtinger_dz()
+        dzbar = phi.wirtinger_dzbar()
+        return (
+            dz.wirtinger_dzbar() * c
+            + -(PolyZZbar.z() * dz * drift)
+            + -(PolyZZbar.zbar() * dzbar * drift.conjugate())
+        )
+
+    def test_bits_match_fresh_monomials_and_added_negations(self):
+        rng = np.random.default_rng(23)
+        phis = [random_poly(rng, d) for d in range(9)]
+        phis += [complex_hermite(m, n) for m in range(8) for n in range(8 - m)]
+        # zero parts of both signs in the coefficients
+        phis.append(PolyZZbar({(2, 1): complex(-0.0, 1.5), (1, 1): complex(2.0, -0.0), (0, 3): -1.0}))
+        for theta in THETAS:
+            params = GeneratorParams(theta)
+            for phi in phis:
+                got = apply_generator_wirtinger(params, phi)._c
+                want = self.fresh_monomial_generator(params, phi)._c
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                for part in ("real", "imag"):
+                    assert np.array_equal(
+                        np.signbit(getattr(got, part)), np.signbit(getattr(want, part))
+                    )
+
     def test_nonsymmetric_for_nonzero_angle(self):
         # <L phi, phi> != <phi, L phi> once the eigenvalues go complex
         rule = gauss_hermite_rule(6)

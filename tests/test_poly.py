@@ -7,6 +7,7 @@ only where the contract is a tolerance.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complexou import PolyWWbar, PolyZZbar, complex_hermite, compose, gauss_hermite_rule
-from complexou.poly import MonomialTable
+from complexou.poly import MonomialTable, _trim, _wrap
 
 Z = PolyZZbar.z()
 ZBAR = PolyZZbar.zbar()
@@ -208,6 +209,25 @@ class TestOuterPolynomials:
     def test_slot_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PolyWWbar.slot(0, 1) + PolyWWbar.slot(0, 2)
+
+    @pytest.mark.parametrize(
+        "terms, bad",
+        [
+            ({(1, 0, 0): 1.0}, (1, 0, 0)),  # too long
+            ({(0, 0): 1.0, (): 2.0}, ()),  # empty
+            ({(1, -1): 2.0}, (1, -1)),  # negative
+            ({(1, 2): 0.0, (3.0, -2): 1.0}, (3, -2)),  # named after int conversion
+        ],
+    )
+    def test_bad_exponent_tuples_rejected(self, terms, bad):
+        with pytest.raises(ValueError, match=rf"^bad exponent tuple {re.escape(str(bad))} for n_slots=1$"):
+            PolyWWbar(1, terms)
+
+    def test_constructor_converts_keys_and_drops_zeros(self):
+        f = PolyWWbar(2, {(1.0, 0, 2, 0): 3, (0, 0, 0, 0): 0.0, (0, 1, 0, 1): np.float64(1.5)})
+        assert dict(f.terms) == {(1, 0, 2, 0): 3 + 0j, (0, 1, 0, 1): 1.5 + 0j}
+        assert all(type(e) is int for key in f.terms for e in key)
+        assert all(type(c) is complex for c in f.terms.values())
 
     def test_formal_derivatives(self):
         f = PolyWWbar(1, {(2, 1): 1.0})
@@ -596,3 +616,172 @@ class TestPointwiseKernels:
         assert PolyWWbar(2, {(1, 0, 0, 0): 1.0}).eval(ws).shape == (3,)
         assert PolyWWbar(2, {(1, 0, 0, 2): 1.0}).eval(ws).shape == (2, 3)
         assert type(PolyWWbar.constant(2.5, 2).eval([1, 2j])) is complex
+
+
+# -- bit-for-bit oracles for the array kernel ----------------------------------
+#
+# The references below are the kernel as it was before subtraction was fused
+# and the trimming tests were reordered: a difference added the negation,
+# trimming scanned every nonzero entry, and each product operand was padded
+# on its own.  The kernel must give the same bytes, signed zeros included.
+
+
+def reference_trim(c):
+    """c without trailing all-zero rows and columns, from one nonzero scan."""
+    rows, cols = np.nonzero(c)
+    if not rows.size:
+        return np.zeros((0, 0), dtype=complex)
+    return c[: rows.max() + 1, : cols.max() + 1]
+
+
+def reference_on_nonzero(ufunc, c, *args):
+    return ufunc(c, *args, out=np.zeros_like(c), where=c != 0)
+
+
+def reference_sum(x, y):
+    out = np.zeros((max(x.shape[0], y.shape[0]), max(x.shape[1], y.shape[1])), dtype=complex)
+    out[: x.shape[0], : x.shape[1]] = x
+    overlap = out[: y.shape[0], : y.shape[1]]
+    np.add(overlap, y, out=overlap, where=y != 0)
+    return reference_trim(out)
+
+
+def reference_difference(p, q):
+    """p + (-q): the sum with the negation built on q's nonzero entries."""
+    return reference_sum(p._c, reference_on_nonzero(np.negative, q._c))
+
+
+def reference_product(p, q):
+    x, y = p._c, q._c
+    if not x.size or not y.size:
+        return np.zeros((0, 0), dtype=complex)
+    rows, width = x.shape[0] + y.shape[0] - 1, x.shape[1] + y.shape[1] - 1
+
+    def pad(c):
+        out = np.zeros((c.shape[0], width), dtype=complex)
+        out[:, : c.shape[1]] = c
+        return out
+
+    flat = np.convolve(pad(x).ravel(), pad(y).ravel())
+    return reference_trim(flat[: rows * width].reshape(rows, width))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+
+
+# parts with signed zeros, so that the sign of a zero part is exercised
+signed_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+signed_coeffs = st.builds(complex, signed_parts, signed_parts)
+
+
+def signed_polys(max_exponent=4, max_terms=10):
+    keys = st.tuples(st.integers(0, max_exponent), st.integers(0, max_exponent))
+    return st.dictionaries(keys, signed_coeffs, max_size=max_terms).map(PolyZZbar)
+
+
+def corner_arrays():
+    """Small complex arrays, mostly zero, so that corners, last rows and last
+    columns are zero or nonzero in every combination.  Zero entries may carry
+    negative zero parts, as unmasked kernel arithmetic (a derivative, a
+    convolution) can leave them."""
+    entries = st.sampled_from(
+        [0j, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+         1 + 0j, complex(-0.0, 2.0), complex(3.0, -0.0)]
+    )
+    return st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+        lambda shape: st.lists(
+            entries, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+        ).map(lambda v: np.array(v, dtype=complex).reshape(shape))
+    )
+
+
+class TestKernelBits:
+    @PROPERTY
+    @given(signed_polys(), signed_polys(), signed_coeffs, corner_arrays(), corner_arrays())
+    def test_difference_has_the_bits_of_adding_the_negation(self, p, q, s, a, b):
+        # arrays with negative zero parts in their zero entries, which a
+        # difference must skip as the sum skips them
+        x, y = (_wrap(PolyZZbar, _trim(c.copy())) for c in (a, b))
+        pairs = ((p, q), (q, p), (p, p), (p, p + q), (PolyZZbar.zero(), p), (p, p * q), (x, y), (y, x))
+        for x, y in pairs:
+            assert_same_bits((x - y)._c, reference_difference(x, y))
+        assert_same_bits((p - s)._c, reference_sum(p._c, PolyZZbar.constant(-s)._c))
+
+    def test_difference_keeps_signed_zeros_of_adding_the_negation(self):
+        p = PolyZZbar({(0, 0): complex(2.0, -0.0), (1, 0): complex(1.0, -0.0)})
+        q = PolyZZbar({(0, 0): complex(1.0, -0.0), (2, 1): complex(-0.0, 1.0)})
+        assert_same_bits((p - q)._c, reference_difference(p, q))
+        assert_same_bits((q - p)._c, reference_difference(q, p))
+        # a term q lacks is kept as is; -0 - (-0) and 0 - (-0) are +0 as
+        # -0 + 0 and 0 + 0 are
+        assert np.signbit((p - q).coeff(1, 0).imag)
+        assert not np.signbit((p - q).coeff(0, 0).imag)
+        assert not np.signbit((p - q).coeff(2, 1).real)
+
+    @PROPERTY
+    @given(corner_arrays())
+    def test_trim_matches_nonzero_scan(self, c):
+        assert_same_bits(_trim(c), reference_trim(c))
+
+    def test_trim_of_dense_and_hollow_shapes(self):
+        rng = np.random.default_rng(3)
+        triangle = float_poly(rng, 5)._c.copy()  # zero [-1, -1], nonzero [-1, 0] and [0, -1]
+        for c in (triangle, triangle[:, ::-1], triangle[::-1], triangle[1:], triangle[:, 1:]):
+            assert_same_bits(_trim(c), reference_trim(c))
+        hollow = np.zeros((4, 5), dtype=complex)
+        hollow[1, 2] = 1.0
+        assert_same_bits(_trim(hollow), reference_trim(hollow))
+        hollow[3, 1] = 1j  # last row nonzero, last column zero
+        assert_same_bits(_trim(hollow), reference_trim(hollow))
+        hollow[3, 1], hollow[0, 4] = 0, 1j  # last column nonzero, last row zero
+        assert_same_bits(_trim(hollow), reference_trim(hollow))
+
+    @PROPERTY
+    @given(signed_polys(), signed_polys(), st.sampled_from([1.0, 1e-160, 1e-200, 1e-310]))
+    def test_products_match_separately_padded_convolution(self, p, q, scale):
+        x, y = p * scale, q * scale
+        assert_same_bits((x * y)._c, reference_product(x, y))
+        assert_same_bits((p * q)._c, reference_product(p, q))
+
+    def test_products_that_underflow_to_zero_are_trimmed(self):
+        tiny = PolyZZbar({(3, 2): 1e-200, (1, 0): 1.0, (0, 3): 2.0})
+        square = tiny * tiny  # the (6, 4) corner term is 1e-400, which is 0
+        assert_same_bits(square._c, reference_product(tiny, tiny))
+        assert square._c.shape == (5, 7)
+        assert_canonical(square)
+        assert not (PolyZZbar.monomial(2, 2, 1e-200) * PolyZZbar.monomial(1, 0, 1e-200))
+        assert not PolyZZbar.monomial(1, 3, 1e-300) * 1e-300
+
+    def test_scalar_products_round_as_the_masked_multiply(self):
+        # with FMA, an unmasked multiply can round some entries differently
+        # from the masked one (this pair differs in the last bit of the
+        # imaginary part); on other hosts both agree and this passes trivially
+        a, s = 1.4751594400271728 + 1.5252247559065715j, 1.3194491097538938 - 1.195960880042649j
+        p = PolyZZbar.constant(a)
+        assert_same_bits((p * s)._c, reference_on_nonzero(np.multiply, p._c, s))
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            shape = tuple(rng.integers(1, 20, size=2))
+            c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            c[rng.random(shape) < 0.5] = 0
+            s = complex(rng.standard_normal(), rng.standard_normal())
+            p = PolyZZbar({(i, j): v for (i, j), v in np.ndenumerate(c)})
+            want = reference_trim(reference_on_nonzero(np.multiply, p._c, s))
+            assert_same_bits((p * s)._c, want)
+
+    @PROPERTY
+    @given(signed_polys(), signed_coeffs)
+    def test_unary_ops_match_the_masked_reference(self, p, s):
+        assert_same_bits((-p)._c, reference_on_nonzero(np.negative, p._c))
+        assert_same_bits(p.conjugate()._c, reference_on_nonzero(np.conjugate, p._c.T))
+        assert_same_bits((p * s)._c, reference_trim(reference_on_nonzero(np.multiply, p._c, s)))
+        c = p._c
+        assert_same_bits(p.wirtinger_dz()._c, reference_trim(c[1:] * np.arange(1, c.shape[0])[:, None]))
+        assert_same_bits(p.wirtinger_dzbar()._c, reference_trim(c[:, 1:] * np.arange(1, c.shape[1])))
