@@ -559,9 +559,7 @@ def check_stationarity(
     max_residual is the worst of (deviation / 4 SE) and (KS / threshold);
     tol = 1.
     """
-    params = GeneratorParams(theta)
-    t_burn = 6.0 * math.log(10.0) / params.cos_theta
-    rep = sde.stationarity_check(params, n_paths, t_burn, seed)
+    rep = sde.stationarity_check(GeneratorParams(theta), n_paths, None, seed)
     return CheckReport(
         name="sde-stationarity",
         passed=rep.passed,

@@ -18,6 +18,8 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,18 +57,20 @@ def _envelope(command, inputs, results, *, max_residual=None, tol=None, seed=Non
     return env
 
 
-def _from_report(command, inputs, report: checks.CheckReport, tol, seed=None):
-    """Envelope from a CheckReport, honoring a --tol override."""
-    effective = report.tol if tol is None else tol
-    results = dict(report.details)
-    results["suite"] = report.name
+def _cmd_suite(cmd, args) -> dict:
+    """Envelope of a suite command's CheckReport: the command's own options as
+    inputs, in declaration order, then the tolerance (--tol overrides the
+    report's) and --seed if the command takes one."""
+    report = cmd.run(args)
+    tol = report.tol if args.tol is None else args.tol
+    dests = [flag[2:].replace("-", "_") for flag, _ in cmd.options]
     return _envelope(
-        command,
-        {**inputs, "tol": effective},
-        results,
+        " ".join(cmd.words),
+        {**{dest: getattr(args, dest) for dest in dests}, "tol": tol},
+        {**report.details, "suite": report.name},
         max_residual=report.max_residual,
-        tol=effective,
-        seed=seed,
+        tol=tol,
+        seed=getattr(args, "seed", None),
         passed=None if report.max_residual is not None else report.passed,
     )
 
@@ -94,16 +98,6 @@ def _cmd_hermite_show(args) -> dict:
     )
 
 
-def _cmd_hermite_orthonormality(args) -> dict:
-    report = checks.check_orthonormality(max_degree=args.max_degree, order=args.order)
-    return _from_report(
-        "hermite orthonormality",
-        {"max_degree": args.max_degree, "order": args.order},
-        report,
-        args.tol,
-    )
-
-
 def _cmd_hermite_transform(args) -> dict:
     tr = hermite.build_basis_transform(args.degree)
     tol = 1e-10 if args.tol is None else args.tol
@@ -113,13 +107,6 @@ def _cmd_hermite_transform(args) -> dict:
         {"forward": _matrix_obj(tr.forward), "inverse": _matrix_obj(tr.inverse)},
         max_residual=tr.residual(),
         tol=tol,
-    )
-
-
-def _cmd_hermite_roundtrip(args) -> dict:
-    report = checks.check_roundtrip(max_degree=args.max_degree)
-    return _from_report(
-        "hermite roundtrip", {"max_degree": args.max_degree}, report, args.tol
     )
 
 
@@ -151,41 +138,15 @@ def _cmd_operator_gamma(args) -> dict:
     )
 
 
-def _cmd_operator_chain_rule(args) -> dict:
-    report = checks.check_chain_rule(
-        n_cases=args.cases,
-        max_degree_inner=args.degree,
-        thetas=(args.theta,),
-        seed=args.seed,
-    )
-    return _from_report(
-        "operator chain-rule",
-        {"theta": args.theta, "degree": args.degree, "cases": args.cases},
-        report,
-        args.tol,
-        seed=args.seed,
-    )
-
-
-def _cmd_operator_normality(args) -> dict:
-    report = checks.check_operator_normality(
-        max_degree=args.degree, thetas=(args.theta,), seed=args.seed
-    )
-    return _from_report(
-        "operator normality",
-        {"theta": args.theta, "degree": args.degree},
-        report,
-        args.tol,
-        seed=args.seed,
-    )
-
-
 # -- semigroup -------------------------------------------------------------------
 
 
 def _read_coeffs(path: str) -> tuple[SpectralCoeffs, float | None]:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    obj = json.loads(text)
+    if path == "-":
+        obj = json.load(sys.stdin)
+    else:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
     if isinstance(obj, list):
         obj = {"coeffs": obj}
     return SpectralCoeffs.from_json_obj(obj)
@@ -205,37 +166,11 @@ def _cmd_semigroup_apply(args) -> dict:
     )
 
 
-def _cmd_semigroup_verify_normal(args) -> dict:
-    report = checks.check_semigroup_normality(
-        max_degree=args.degree,
-        thetas=(args.theta,),
-        ts=(args.t,),
-        n_points=args.points,
-        seed=args.seed,
-    )
-    env = _from_report(
-        "semigroup verify-normal",
-        {"theta": args.theta, "t": args.t, "degree": args.degree, "points": args.points},
-        report,
-        args.tol,
-        seed=args.seed,
-    )
-    env["results"]["max_residual"] = report.max_residual
+def _cmd_semigroup_verify_normal(cmd, args) -> dict:
+    env = _cmd_suite(cmd, args)
+    env["results"]["max_residual"] = env["max_residual"]
     env["results"]["grid"] = {"theta": [args.theta], "t": [args.t]}
     return env
-
-
-def _cmd_semigroup_invariance(args) -> dict:
-    report = checks.check_invariance(
-        max_degree=args.degree, thetas=(args.theta,), ts=(args.t,), seed=args.seed
-    )
-    return _from_report(
-        "semigroup invariance",
-        {"theta": args.theta, "t": args.t, "degree": args.degree},
-        report,
-        args.tol,
-        seed=args.seed,
-    )
 
 
 # -- sde -------------------------------------------------------------------------
@@ -278,10 +213,8 @@ def _cmd_sde_simulate(args) -> dict:
     ensemble = sde.sample_exact(config) if args.scheme == "exact" else sde.sample_euler(config)
     moments = []
     for k, t in enumerate(config.t_grid):
-        z = ensemble.states[:, k]
         mean, mean_se = sde.estimate_pt(ensemble, lambda w: w, k)
-        abs_sq = np.abs(z) ** 2
-        abs_se = float(abs_sq.std(ddof=1)) / math.sqrt(args.paths) if args.paths > 1 else 0.0
+        abs_mean, abs_se = sde.abs_second_moment(ensemble.states[:, k])
         expected = PropagatorParams(params, t)
         moments.append(
             {
@@ -289,7 +222,7 @@ def _cmd_sde_simulate(args) -> dict:
                 "mean": _complex_obj(mean),
                 "mean_se": mean_se,
                 "expected_mean": _complex_obj(expected.decay * x0),
-                "abs_second_moment": float(abs_sq.mean()),
+                "abs_second_moment": abs_mean,
                 "abs_second_moment_se": abs_se,
                 "expected_variance": 2.0 * expected.noise_std**2,
             }
@@ -313,13 +246,11 @@ def _cmd_sde_simulate(args) -> dict:
 
 
 def _cmd_sde_stationarity(args) -> dict:
-    params = GeneratorParams(args.theta)
-    t_burn = args.t_burn if args.t_burn is not None else 6.0 * math.log(10.0) / params.cos_theta
-    rep = sde.stationarity_check(params, args.paths, t_burn, args.seed)
+    rep = sde.stationarity_check(GeneratorParams(args.theta), args.paths, args.t_burn, args.seed)
     tol = 1.0 if args.tol is None else args.tol
     return _envelope(
         "sde stationarity",
-        {"theta": args.theta, "paths": args.paths, "t_burn": t_burn, "tol": tol},
+        {"theta": args.theta, "paths": args.paths, "t_burn": rep.t_burn, "tol": tol},
         {
             "mean": _complex_obj(rep.mean),
             "mean_se": rep.mean_se,
@@ -338,12 +269,7 @@ def _cmd_sde_stationarity(args) -> dict:
     )
 
 
-# -- quad / verify-all -------------------------------------------------------------
-
-
-def _cmd_quad_selftest(args) -> dict:
-    report = checks.check_quadrature(order=args.order)
-    return _from_report("quad selftest", {"order": args.order}, report, args.tol)
+# -- verify-all -------------------------------------------------------------------
 
 
 def _cmd_verify_all(args) -> dict:
@@ -368,12 +294,117 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_common(parser, *, tol=False, seed=False):
-    parser.add_argument("--pretty", action="store_true", help="render a summary table on stderr")
-    if tol:
-        parser.add_argument("--tol", type=_finite_float, default=None, help="override the pass tolerance")
-    if seed:
-        parser.add_argument("--seed", type=int, default=checks.DEFAULT_SEED, help="RNG seed")
+def _int_at_least(low: int, what: str):
+    """argparse type: an integer of at least ``low``, else "not a {what}"."""
+
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"not a {what}: {text!r}")
+        return value
+
+    parse.__name__ = "int"  # a non-integer reads "invalid int value", as with type=int
+    return parse
+
+
+# A negative degree or a count below 1 would leave a suite nothing to check.
+_degree = _int_at_least(0, "non-negative integer")
+_count = _int_at_least(1, "positive integer")
+
+
+class Command(NamedTuple):
+    """One command: its words, help, own options ((flag, add_argument keywords)
+    in order; --pretty, then --tol and --seed if taken, follow) and handler.
+    A suite command gives ``run`` (args -> CheckReport) and is handled as
+    ``handler(cmd, args)``; any other command as ``handler(args)``."""
+
+    words: tuple[str, ...]
+    help: str
+    options: tuple[tuple[str, dict], ...]
+    handler: Callable[..., dict] = _cmd_suite
+    tol: bool = False
+    seed: bool = False
+    run: Callable[[argparse.Namespace], checks.CheckReport] | None = None
+
+
+GROUPS = {
+    "hermite": "eigenbasis polynomials and transforms",
+    "operator": "generator, carre du champ, chain rule",
+    "semigroup": "P_t in spectral and Mehler form",
+    "sde": "Monte Carlo simulation of the SDE",
+    "quad": "Gauss-Hermite quadrature utilities",
+}
+
+# options that several commands declare alike
+_THETA = ("--theta", dict(type=_finite_float, required=True))
+_T = ("--t", dict(type=_finite_float, required=True))
+_M = ("--m", dict(type=int, required=True))
+_N = ("--n", dict(type=int, required=True))
+
+COMMANDS = (
+    Command(("hermite", "show"), "print one basis polynomial as JSON", (
+        _M, _N, ("--route", dict(choices=("explicit", "creation"), default="explicit")),
+    ), _cmd_hermite_show),
+    Command(("hermite", "orthonormality"), "Gram matrix vs identity under quadrature", (
+        ("--max-degree", dict(type=_degree, default=10)), ("--order", dict(type=int, default=12)),
+    ), tol=True, run=lambda a: checks.check_orthonormality(max_degree=a.max_degree, order=a.order)),
+    Command(("hermite", "transform"), "level-l change of basis matrices and residuals", (
+        ("--degree", dict(type=int, required=True)),
+    ), _cmd_hermite_transform, tol=True),
+    Command(("hermite", "roundtrip"), "project/synthesize round trip residual", (
+        ("--max-degree", dict(type=_degree, default=10)),
+    ), tol=True, run=lambda a: checks.check_roundtrip(max_degree=a.max_degree)),
+    Command(("operator", "eigen"), "eigenvalue lambda[m,n] of the generator", (
+        _THETA, _M, _N,
+    ), _cmd_operator_eigen),
+    Command(("operator", "gamma"), "carre du champ of two polynomial literals", (
+        ("--phi", dict(type=str, required=True)),
+        ("--psi", dict(type=str, default=None, help="defaults to --phi")),
+        ("--theta", dict(type=_finite_float, default=0.0, help="angle for the generator route")),
+    ), _cmd_operator_gamma, tol=True),
+    Command(("operator", "chain-rule"), "second-order chain rule residual suite", (
+        _THETA, ("--degree", dict(type=_degree, default=3, help="inner polynomial degree")),
+        ("--cases", dict(type=_count, default=100)),
+    ), tol=True, seed=True, run=lambda a: checks.check_chain_rule(
+        n_cases=a.cases, max_degree_inner=a.degree, thetas=(a.theta,), seed=a.seed)),
+    Command(("operator", "normality"), "L L* = L* L on random polynomials", (
+        _THETA, ("--degree", dict(type=_degree, default=6)),
+    ), tol=True, seed=True, run=lambda a: checks.check_operator_normality(
+        max_degree=a.degree, thetas=(a.theta,), seed=a.seed)),
+    Command(("semigroup", "apply"), "apply the spectral multiplier to coefficients", (
+        ("--theta", dict(type=_finite_float, default=None, help="overrides the input file's theta")),
+        _T, ("--input", dict(type=str, required=True, help="coefficients JSON ('-' for stdin)")),
+    ), _cmd_semigroup_apply),
+    Command(("semigroup", "verify-normal"), "commutation and fused-form residuals", (
+        _THETA, _T, ("--degree", dict(type=_degree, default=5)),
+        ("--points", dict(type=_count, default=5)),
+    ), _cmd_semigroup_verify_normal, tol=True, seed=True,
+        run=lambda a: checks.check_semigroup_normality(
+            max_degree=a.degree, thetas=(a.theta,), ts=(a.t,), n_points=a.points, seed=a.seed)),
+    Command(("semigroup", "invariance"), "gamma-invariance residual suite", (
+        _THETA, _T, ("--degree", dict(type=_degree, default=8)),
+    ), tol=True, seed=True, run=lambda a: checks.check_invariance(
+        max_degree=a.degree, thetas=(a.theta,), ts=(a.t,), seed=a.seed)),
+    Command(("sde", "simulate"), "sample paths; JSON moments, optional CSV", (
+        _THETA,
+        ("--x0-re", dict(type=_finite_float, default=0.0)),
+        ("--x0-im", dict(type=_finite_float, default=0.0)),
+        ("--t", dict(type=_finite_float, nargs="+", required=True, help="recording times (> 0)")),
+        ("--paths", dict(type=int, required=True)),
+        ("--scheme", dict(choices=sde.SCHEMES, default="exact")),
+        ("--dt", dict(type=_finite_float, default=None, help="euler step (required for euler)")),
+        ("--csv", dict(type=str, default=None, help="write (path_id,t,re,im) rows here")),
+    ), _cmd_sde_simulate, seed=True),
+    Command(("sde", "stationarity"), "long-run law vs the invariant Gaussian", (
+        _THETA, ("--paths", dict(type=int, required=True)),
+        ("--t-burn", dict(type=_finite_float, default=None, help="default: 6 ln10 / cos(theta)")),
+    ), _cmd_sde_stationarity, tol=True, seed=True),
+    Command(("quad", "selftest"), "moment and orthonormality exactness checks", (
+        ("--order", dict(type=int, default=12)),
+    ), tol=True, run=lambda a: checks.check_quadrature(order=a.order)),
+    Command(("verify-all",), "run every verification suite and aggregate", (
+        ("--paths", dict(type=int, default=200000, help="Monte Carlo path budget")),
+    ), _cmd_verify_all, seed=True),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,136 +427,25 @@ def _build_parser(words=None) -> argparse.ArgumentParser | None:
         'e.g. "z*zbar - 2" or "(1+i)*z^2".',
     )
     top = parser.add_subparsers(dest="group", required=True, metavar="COMMAND")
-    leaves = 0
-
-    def selected(name, depth):
-        return words is None or words[depth : depth + 1] == [name]
-
-    def group(name, help):
-        if not selected(name, 0):
-            return None
-        sub = top.add_parser(name, help=help)
-        return sub.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-
-    def command(sub, name, help):
-        nonlocal leaves
-        if sub is None or not selected(name, 0 if sub is top else 1):
-            return None
-        leaves += 1
-        return sub.add_parser(name, help=help)
-
-    hsub = group("hermite", "eigenbasis polynomials and transforms")
-
-    if p := command(hsub, "show", "print one basis polynomial as JSON"):
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--route", choices=("explicit", "creation"), default="explicit")
-        _add_common(p)
-        p.set_defaults(handler=_cmd_hermite_show)
-
-    if p := command(hsub, "orthonormality", "Gram matrix vs identity under quadrature"):
-        p.add_argument("--max-degree", type=int, default=10)
-        p.add_argument("--order", type=int, default=12)
-        _add_common(p, tol=True)
-        p.set_defaults(handler=_cmd_hermite_orthonormality)
-
-    if p := command(hsub, "transform", "level-l change of basis matrices and residuals"):
-        p.add_argument("--degree", type=int, required=True)
-        _add_common(p, tol=True)
-        p.set_defaults(handler=_cmd_hermite_transform)
-
-    if p := command(hsub, "roundtrip", "project/synthesize round trip residual"):
-        p.add_argument("--max-degree", type=int, default=10)
-        _add_common(p, tol=True)
-        p.set_defaults(handler=_cmd_hermite_roundtrip)
-
-    osub = group("operator", "generator, carre du champ, chain rule")
-
-    if p := command(osub, "eigen", "eigenvalue lambda[m,n] of the generator"):
-        p.add_argument("--theta", type=_finite_float, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        _add_common(p)
-        p.set_defaults(handler=_cmd_operator_eigen)
-
-    if p := command(osub, "gamma", "carre du champ of two polynomial literals"):
-        p.add_argument("--phi", type=str, required=True)
-        p.add_argument("--psi", type=str, default=None, help="defaults to --phi")
-        p.add_argument("--theta", type=_finite_float, default=0.0, help="angle for the generator route")
-        _add_common(p, tol=True)
-        p.set_defaults(handler=_cmd_operator_gamma)
-
-    if p := command(osub, "chain-rule", "second-order chain rule residual suite"):
-        p.add_argument("--theta", type=_finite_float, required=True)
-        p.add_argument("--degree", type=int, default=3, help="inner polynomial degree")
-        p.add_argument("--cases", type=int, default=100)
-        _add_common(p, tol=True, seed=True)
-        p.set_defaults(handler=_cmd_operator_chain_rule)
-
-    if p := command(osub, "normality", "L L* = L* L on random polynomials"):
-        p.add_argument("--theta", type=_finite_float, required=True)
-        p.add_argument("--degree", type=int, default=6)
-        _add_common(p, tol=True, seed=True)
-        p.set_defaults(handler=_cmd_operator_normality)
-
-    ssub = group("semigroup", "P_t in spectral and Mehler form")
-
-    if p := command(ssub, "apply", "apply the spectral multiplier to coefficients"):
-        p.add_argument("--theta", type=_finite_float, default=None, help="overrides the input file's theta")
-        p.add_argument("--t", type=_finite_float, required=True)
-        p.add_argument("--input", type=str, required=True, help="coefficients JSON ('-' for stdin)")
-        _add_common(p)
-        p.set_defaults(handler=_cmd_semigroup_apply)
-
-    if p := command(ssub, "verify-normal", "commutation and fused-form residuals"):
-        p.add_argument("--theta", type=_finite_float, required=True)
-        p.add_argument("--t", type=_finite_float, required=True)
-        p.add_argument("--degree", type=int, default=5)
-        p.add_argument("--points", type=int, default=5)
-        _add_common(p, tol=True, seed=True)
-        p.set_defaults(handler=_cmd_semigroup_verify_normal)
-
-    if p := command(ssub, "invariance", "gamma-invariance residual suite"):
-        p.add_argument("--theta", type=_finite_float, required=True)
-        p.add_argument("--t", type=_finite_float, required=True)
-        p.add_argument("--degree", type=int, default=8)
-        _add_common(p, tol=True, seed=True)
-        p.set_defaults(handler=_cmd_semigroup_invariance)
-
-    sdsub = group("sde", "Monte Carlo simulation of the SDE")
-
-    if p := command(sdsub, "simulate", "sample paths; JSON moments, optional CSV"):
-        p.add_argument("--theta", type=_finite_float, required=True)
-        p.add_argument("--x0-re", type=_finite_float, default=0.0)
-        p.add_argument("--x0-im", type=_finite_float, default=0.0)
-        p.add_argument("--t", type=_finite_float, nargs="+", required=True, help="recording times (> 0)")
-        p.add_argument("--paths", type=int, required=True)
-        p.add_argument("--scheme", choices=sde.SCHEMES, default="exact")
-        p.add_argument("--dt", type=_finite_float, default=None, help="euler step (required for euler)")
-        p.add_argument("--csv", type=str, default=None, help="write (path_id,t,re,im) rows here")
-        _add_common(p, seed=True)
-        p.set_defaults(handler=_cmd_sde_simulate)
-
-    if p := command(sdsub, "stationarity", "long-run law vs the invariant Gaussian"):
-        p.add_argument("--theta", type=_finite_float, required=True)
-        p.add_argument("--paths", type=int, required=True)
-        p.add_argument("--t-burn", type=_finite_float, default=None, help="default: 6 ln10 / cos(theta)")
-        _add_common(p, tol=True, seed=True)
-        p.set_defaults(handler=_cmd_sde_stationarity)
-
-    qsub = group("quad", "Gauss-Hermite quadrature utilities")
-    if p := command(qsub, "selftest", "moment and orthonormality exactness checks"):
-        p.add_argument("--order", type=int, default=12)
-        _add_common(p, tol=True)
-        p.set_defaults(handler=_cmd_quad_selftest)
-
-    if p := command(top, "verify-all", "run every verification suite and aggregate"):
-        p.add_argument("--paths", type=int, default=200000, help="Monte Carlo path budget")
-        _add_common(p, seed=True)
-        p.set_defaults(handler=_cmd_verify_all, command=None)
-
-    return parser if leaves else None
-
+    groups = {}
+    for cmd in COMMANDS:
+        if words is not None and tuple(words[: len(cmd.words)]) != cmd.words:
+            continue
+        group = cmd.words[0]
+        if len(cmd.words) == 2 and group not in groups:
+            groups[group] = top.add_parser(group, help=GROUPS[group]).add_subparsers(
+                dest="command", required=True, metavar="SUBCOMMAND"
+            )
+        p = groups.get(group, top).add_parser(cmd.words[-1], help=cmd.help)
+        for flag, kwargs in cmd.options:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--pretty", action="store_true", help="render a summary table on stderr")
+        if cmd.tol:
+            p.add_argument("--tol", type=_finite_float, default=None, help="override the pass tolerance")
+        if cmd.seed:
+            p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED, help="RNG seed")
+        p.set_defaults(handler=cmd.handler if cmd.run is None else partial(cmd.handler, cmd))
+    return parser if top.choices else None
 
 
 def _pretty(env: dict, stream) -> None:

@@ -203,6 +203,14 @@ def _mean_and_se(vals: np.ndarray) -> tuple[complex, float]:
     return mean, math.sqrt(var / n)
 
 
+def abs_second_moment(z: np.ndarray) -> tuple[float, float]:
+    """Sample mean of |z|^2 and its standard error, with the unbiased variance
+    estimate; the error is 0.0 for fewer than 2 samples."""
+    abs_sq = np.abs(z) ** 2
+    se = float(abs_sq.std(ddof=1)) / math.sqrt(z.size) if z.size > 1 else 0.0
+    return float(abs_sq.mean()), se
+
+
 def estimate_pt(ensemble: PathEnsemble, phi, t_index: int) -> tuple[complex, float]:
     """Monte Carlo estimate of P_t phi(x0) at grid index t_index.
 
@@ -251,9 +259,12 @@ class StationarityReport:
 
 
 def stationarity_check(
-    params: GeneratorParams, n_paths: int, t_burn: float, seed: int
+    params: GeneratorParams, n_paths: int, t_burn: float | None, seed: int
 ) -> StationarityReport:
-    """Run to t_burn from 0 with the exact sampler and compare against gamma."""
+    """Run to t_burn (None: 6 ln10 / cos theta) from 0 with the exact sampler
+    and compare against gamma."""
+    if t_burn is None:
+        t_burn = 6.0 * math.log(10.0) / params.cos_theta
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for standard errors, got {n_paths}")
     # the <= 1e-6 cutoff gets a few ulps of grace so t_burn = 6 ln(10)/cos(theta)
@@ -267,9 +278,7 @@ def stationarity_check(
 
     mean, mean_se = _mean_and_se(z)
     second, second_se = _mean_and_se(z * z)
-    abs_sq = np.abs(z) ** 2
-    abs_mean = float(abs_sq.mean())
-    abs_se = float(abs_sq.std(ddof=1)) / math.sqrt(n_paths)
+    abs_mean, abs_se = abs_second_moment(z)
 
     ks_real = float(stats.kstest(z.real, "norm").statistic)
     ks_imag = float(stats.kstest(z.imag, "norm").statistic)

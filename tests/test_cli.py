@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+import complexou
 from complexou import checks, cli, sde
 from complexou.cli import main
 from complexou.operator import GeneratorParams
@@ -188,6 +189,17 @@ class TestSemigroupCommands:
         code, _, err = run_cli(capsys, "semigroup", "apply", "--t", "1.0", "--input", str(f))
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_apply_closes_its_input_file(self, capsys, tmp_path):
+        # an unclosed file shows as a ResourceWarning, an error here
+        f = tmp_path / "coeffs.json"
+        f.write_text(json.dumps([{"m": 1, "n": 0, "re": 1.0, "im": 0.0}]))
+        code, out, _ = run_cli(
+            capsys, "semigroup", "apply", "--theta", "0.3", "--t", "1", "--input", str(f)
+        )
+        assert code == 0
+        parse_envelope(out)
 
     def test_verify_normal_reports_grid(self, capsys):
         code, out, _ = run_cli(
@@ -390,6 +402,54 @@ class TestExitCodes:
         assert out == ""
         assert "usage:" in err and "not a finite number" in err
 
+    # a negative degree or a count below 1 leaves a suite nothing to check,
+    # which would otherwise pass with max_residual 0.0
+    EMPTY_INPUTS = [
+        (("operator", "chain-rule", "--theta", "0.3", "--cases", "0"),
+         "--cases: not a positive integer: '0'"),
+        (("operator", "chain-rule", "--theta", "0.3", "--cases", "-4"),
+         "--cases: not a positive integer: '-4'"),
+        (("operator", "normality", "--theta", "0.3", "--degree", "-2"),
+         "--degree: not a non-negative integer: '-2'"),
+        (("semigroup", "invariance", "--theta", "0.3", "--t", "1", "--degree", "-1"),
+         "--degree: not a non-negative integer: '-1'"),
+        (("semigroup", "verify-normal", "--theta", "0.3", "--t", "1", "--degree", "-1"),
+         "--degree: not a non-negative integer: '-1'"),
+        (("semigroup", "verify-normal", "--theta", "0.3", "--t", "1", "--points", "0"),
+         "--points: not a positive integer: '0'"),
+        (("hermite", "roundtrip", "--max-degree", "-1"),
+         "--max-degree: not a non-negative integer: '-1'"),
+        (("hermite", "orthonormality", "--max-degree", "-3"),
+         "--max-degree: not a non-negative integer: '-3'"),
+        # a non-integer keeps argparse's wording for type=int
+        (("hermite", "roundtrip", "--max-degree", "x"), "--max-degree: invalid int value: 'x'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, message", EMPTY_INPUTS, ids=[" ".join(argv) for argv, _ in EMPTY_INPUTS]
+    )
+    def test_empty_suite_input_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.startswith("usage:") and f"error: argument {message}\n" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hermite", "roundtrip", "--max-degree", "0"),
+            ("operator", "chain-rule", "--theta", "0.3", "--degree", "0", "--cases", "1"),
+            ("semigroup", "verify-normal", "--theta", "0.3", "--t", "1", "--degree", "0",
+             "--points", "1"),
+        ],
+    )
+    def test_smallest_degree_and_count_accepted(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert parse_envelope(out)["pass"] is True
+
     @pytest.mark.filterwarnings("error")
     def test_non_finite_result_warns_nothing(self, capsys):
         # outside pytest a numpy overflow warning would precede the error line
@@ -467,6 +527,87 @@ def subcommands(parser):
         if isinstance(action, argparse._SubParsersAction):
             return action.choices
     return {}
+
+
+class TestSuiteOptions:
+    # each suite command with every option away from its default, against the
+    # envelope of a direct checks call with explicit keywords: an option wired
+    # to the wrong keyword changes the report even where the suite still passes
+    CASES = [
+        (
+            ("hermite", "orthonormality", "--max-degree", "3", "--order", "9"),
+            lambda: checks.check_orthonormality(max_degree=3, order=9),
+            {"max_degree": 3, "order": 9},
+            None,
+        ),
+        (
+            ("hermite", "roundtrip", "--max-degree", "4"),
+            lambda: checks.check_roundtrip(max_degree=4),
+            {"max_degree": 4},
+            None,
+        ),
+        (
+            ("operator", "chain-rule", "--theta", "0.3", "--degree", "2", "--cases", "7",
+             "--seed", "5"),
+            lambda: checks.check_chain_rule(n_cases=7, max_degree_inner=2, thetas=(0.3,), seed=5),
+            {"theta": 0.3, "degree": 2, "cases": 7},
+            5,
+        ),
+        (
+            ("operator", "normality", "--theta", "0.3", "--degree", "4", "--seed", "5"),
+            lambda: checks.check_operator_normality(max_degree=4, thetas=(0.3,), seed=5),
+            {"theta": 0.3, "degree": 4},
+            5,
+        ),
+        (
+            ("semigroup", "verify-normal", "--theta", "0.3", "--t", "0.5", "--degree", "3",
+             "--points", "4", "--seed", "5"),
+            lambda: checks.check_semigroup_normality(
+                max_degree=3, thetas=(0.3,), ts=(0.5,), n_points=4, seed=5
+            ),
+            {"theta": 0.3, "t": 0.5, "degree": 3, "points": 4},
+            5,
+        ),
+        (
+            ("semigroup", "invariance", "--theta", "0.3", "--t", "0.5", "--degree", "4",
+             "--seed", "5"),
+            lambda: checks.check_invariance(max_degree=4, thetas=(0.3,), ts=(0.5,), seed=5),
+            {"theta": 0.3, "t": 0.5, "degree": 4},
+            5,
+        ),
+        (
+            ("quad", "selftest", "--order", "10"),
+            lambda: checks.check_quadrature(order=10),
+            {"order": 10},
+            None,
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, direct, inputs, seed", CASES, ids=[" ".join(c[0][:2]) for c in CASES]
+    )
+    def test_options_reach_their_keywords(self, capsys, argv, direct, inputs, seed):
+        tol = 0.001
+        code, out, _ = run_cli(capsys, *argv, "--tol", str(tol))
+        report = direct()
+        results = {**report.details, "suite": report.name}
+        if argv[1] == "verify-normal":
+            results["max_residual"] = report.max_residual
+            results["grid"] = {"theta": [inputs["theta"]], "t": [inputs["t"]]}
+        expected = {
+            "command": " ".join(argv[:2]),
+            "inputs": {**inputs, "tol": tol},
+            "results": results,
+            "max_residual": report.max_residual,
+            "pass": report.max_residual <= tol,
+            "version": complexou.__version__,
+        }
+        if seed is not None:
+            expected["seed"] = seed
+        assert code == 0
+        assert parse_envelope(out) == expected
+        # the same keys in the same order at every level
+        assert out.strip() == json.dumps(expected, separators=(",", ":"))
 
 
 class TestBranchParser:
