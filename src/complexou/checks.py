@@ -560,12 +560,9 @@ def check_stationarity(
     tol = 1.
     """
     rep = sde.stationarity_check(GeneratorParams(theta), n_paths, None, seed)
-    return CheckReport(
-        name="sde-stationarity",
-        passed=rep.passed,
-        max_residual=rep.max_ratio,
-        tol=1.0,
-        details={
+    return CheckReport.within(
+        "sde-stationarity", rep.max_ratio, 1.0,
+        {
             "theta": theta,
             "n_paths": n_paths,
             "t_burn": rep.t_burn,

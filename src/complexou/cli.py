@@ -265,7 +265,6 @@ def _cmd_sde_stationarity(args) -> dict:
         max_residual=rep.max_ratio,
         tol=tol,
         seed=args.seed,
-        passed=rep.passed if args.tol is None else rep.max_ratio <= args.tol,
     )
 
 
@@ -337,12 +336,12 @@ GROUPS = {
 # options that several commands declare alike
 _THETA = ("--theta", dict(type=_finite_float, required=True))
 _T = ("--t", dict(type=_finite_float, required=True))
-_M = ("--m", dict(type=int, required=True))
-_N = ("--n", dict(type=int, required=True))
 
 COMMANDS = (
     Command(("hermite", "show"), "print one basis polynomial as JSON", (
-        _M, _N, ("--route", dict(choices=("explicit", "creation"), default="explicit")),
+        # plain int: complex_hermite's range error also names the degree cap
+        ("--m", dict(type=int, required=True)), ("--n", dict(type=int, required=True)),
+        ("--route", dict(choices=("explicit", "creation"), default="explicit")),
     ), _cmd_hermite_show),
     Command(("hermite", "orthonormality"), "Gram matrix vs identity under quadrature", (
         ("--max-degree", dict(type=_degree, default=10)), ("--order", dict(type=int, default=12)),
@@ -354,7 +353,8 @@ COMMANDS = (
         ("--max-degree", dict(type=_degree, default=10)),
     ), tol=True, run=lambda a: checks.check_roundtrip(max_degree=a.max_degree)),
     Command(("operator", "eigen"), "eigenvalue lambda[m,n] of the generator", (
-        _THETA, _M, _N,
+        _THETA, ("--m", dict(type=_degree, required=True)),
+        ("--n", dict(type=_degree, required=True)),
     ), _cmd_operator_eigen),
     Command(("operator", "gamma"), "carre du champ of two polynomial literals", (
         ("--phi", dict(type=str, required=True)),

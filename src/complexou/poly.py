@@ -31,10 +31,13 @@ Conventions baked into the representation:
   seeded with each row's last nonzero coefficient so that zero coefficients
   and all-zero rows add nothing.
 
-:class:`~.spectral.SpectralCoeffs` stores basis expansions in the same form
-and shares the module-level array helpers (``_from_terms``, ``_sum``,
-``_times``, ``_wrap``, ``_term_map``); ``_lincomb`` sums a linear combination
-of such arrays in one array, for compositions and basis sums.
+Both :class:`PolyZZbar` and :class:`~.spectral.SpectralCoeffs` (basis
+expansions) are :class:`_Coeffs`: the base owns the array, its construction
+from a term map, the cached ``terms``, exact equality and the JSON entries,
+read back with every index, duplicate, degree and number checked.  The
+module-level array helpers (``_sum``, ``_times``, ``_wrap``) serve both;
+``_lincomb`` sums a linear combination of such arrays in one array, for
+compositions and basis sums.
 
 Ops act on the nonzero entries only (one masked ufunc call), so the zeros
 stay +0.  A difference is one masked ``np.subtract``: IEEE ``x - y`` is
@@ -58,7 +61,7 @@ from __future__ import annotations
 import itertools
 import json
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -97,25 +100,6 @@ def _times(c: np.ndarray, factor) -> np.ndarray:
     return _trim(_on_nonzero(np.multiply, c, factor))
 
 
-def _from_terms(terms: Mapping[tuple[int, int], complex] | None, what: str) -> np.ndarray:
-    """Trimmed read-only array with ``[i, j] = terms[(i, j)]``, zeros left out."""
-    entries = []
-    for (i, j), v in (terms or {}).items():
-        if i < 0 or j < 0:
-            raise ValueError(f"{what} must be nonnegative, got {(i, j)}")
-        v = complex(v)
-        if v != 0:
-            entries.append((int(i), int(j), v))
-    if not entries:
-        return _EMPTY
-    rows, cols, _ = zip(*entries)
-    c = np.zeros((max(rows) + 1, max(cols) + 1), complex)
-    for i, j, v in entries:
-        c[i, j] = v
-    c.setflags(write=False)
-    return c
-
-
 def _sum(x: np.ndarray, y: np.ndarray, ufunc: np.ufunc = np.add) -> np.ndarray:
     """Trimmed x + y, or x - y with ``ufunc=np.subtract``; where y is zero,
     x's entry is kept, signed zeros included.
@@ -141,16 +125,6 @@ def _wrap(cls, c: np.ndarray):
     obj._c = c
     obj._terms = None
     return obj
-
-
-def _term_map(obj) -> Mapping[tuple[int, int], complex]:
-    """Read-only map from ``(i, j)`` to the nonzero entries of ``obj._c``, in
-    ascending ``(i, j)``; built on first use and cached in ``obj._terms``."""
-    if obj._terms is None:
-        rows, cols = np.nonzero(obj._c)
-        values = obj._c[rows, cols].tolist()
-        obj._terms = MappingProxyType(dict(zip(zip(rows.tolist(), cols.tolist()), values)))
-    return obj._terms
 
 
 def _power(base, n: int, one):
@@ -199,14 +173,129 @@ def _horner_row(row: list, wbar: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-class PolyZZbar:
-    """Polynomial in (z, zbar) with complex double coefficients."""
+# Largest total degree m + n of the basis (the explicit J[m,n] formula and
+# every coefficient file); it also bounds the dense array a file fills.  A
+# polynomial file may reach twice it, the degree of a product of two literals.
+MAX_TOTAL_DEGREE = 64
+
+
+def _number(v, name: str) -> float:
+    """v as a float; ValueError unless v is a number (not a bool) in float range."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{name} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is out of the float range") from exc
+
+
+class _Coeffs:
+    """Coefficients indexed by (i, j) >= 0, stored as one trimmed, read-only
+    2-D complex array whose entry ``[i, j]`` is the coefficient of (i, j).
+
+    A subclass names its two indices (``_INDEX``, also its JSON keys), the
+    word for them in errors (``_WHAT``), the cap on i + j that its JSON reader
+    enforces (``_MAX_DEGREE``), and its ``items_sorted`` order, which is the
+    order of its JSON entries.
+    """
 
     __slots__ = ("_c", "_terms")
+    _INDEX: tuple[str, str]
+    _WHAT: str
+    _MAX_DEGREE: int
 
     def __init__(self, terms: Mapping[tuple[int, int], complex] | None = None):
-        self._c = _from_terms(terms, "exponents")
+        entries = []
+        for (i, j), v in (terms or {}).items():
+            if i < 0 or j < 0:
+                raise ValueError(f"{self._WHAT} must be nonnegative, got {(i, j)}")
+            v = complex(v)
+            if v != 0:
+                entries.append((int(i), int(j), v))
+        c = _EMPTY
+        if entries:
+            rows, cols, _ = zip(*entries)
+            c = np.zeros((max(rows) + 1, max(cols) + 1), complex)
+            for i, j, v in entries:
+                c[i, j] = v
+            c.setflags(write=False)
+        self._c = c
         self._terms: Mapping[tuple[int, int], complex] | None = None
+
+    @property
+    def terms(self) -> Mapping[tuple[int, int], complex]:
+        """Read-only map from (i, j) to the nonzero coefficients, in ascending
+        (i, j); built from the array on first use and cached."""
+        if self._terms is None:
+            rows, cols = np.nonzero(self._c)
+            values = self._c[rows, cols].tolist()
+            self._terms = MappingProxyType(dict(zip(zip(rows.tolist(), cols.tolist()), values)))
+        return self._terms
+
+    def coeff(self, i: int, j: int) -> complex:
+        return self.terms.get((i, j), 0j)
+
+    def max_abs_coeff(self) -> float:
+        return float(np.abs(self._c).max()) if self._c.size else 0.0
+
+    def __bool__(self) -> bool:
+        return bool(self._c.size)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, type(self)):
+            return np.array_equal(self._c, other._c)
+        return NotImplemented
+
+    __hash__ = None  # equality is by value; not hashable
+
+    # -- serialization ------------------------------------------------------
+
+    def to_json_obj(self) -> list[dict]:
+        """JSON form: an array of {i, j, re, im} in ``items_sorted`` order,
+        keyed by the class's index names."""
+        i, j = self._INDEX
+        return [{i: a, j: b, "re": c.real, "im": c.imag} for (a, b), c in self.items_sorted()]
+
+    @classmethod
+    def from_json_obj(cls, entries: list):
+        """Parse the JSON form.  Both indices must be integers >= 0 with a sum
+        of at most ``_MAX_DEGREE``, each index pair may appear once, and re
+        and im must be numbers; anything else raises ValueError."""
+        if not isinstance(entries, list):
+            raise ValueError(f"coefficient input must be a list, got {type(entries).__name__}")
+        i, j = cls._INDEX
+        cap = cls._MAX_DEGREE
+        terms = {}
+        for t in entries:
+            if not isinstance(t, Mapping) or any(k not in t for k in (i, j, "re", "im")):
+                raise ValueError(f"each coefficient needs the keys {i}, {j}, re, im; got {t!r}")
+            a, b = t[i], t[j]
+            # type() rather than isinstance(): JSON true and false are bools, not indices
+            if not (type(a) is type(b) is int and a >= 0 and b >= 0 and a + b <= cap):
+                raise ValueError(
+                    f"{i} and {j} must be integers >= 0 with {i} + {j} <= {cap}; got {t!r}"
+                )
+            if (a, b) in terms:
+                raise ValueError(f"coefficient ({i}, {j}) = {(a, b)} given more than once")
+            terms[(a, b)] = complex(_number(t["re"], "re"), _number(t["im"], "im"))
+        return cls(terms)
+
+    def to_json(self, *args, **kwargs) -> str:
+        """``to_json_obj(*args, **kwargs)`` as compact JSON text."""
+        return json.dumps(self.to_json_obj(*args, **kwargs), separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_json_obj(json.loads(text))
+
+
+class PolyZZbar(_Coeffs):
+    """Polynomial in (z, zbar) with complex double coefficients."""
+
+    __slots__ = ()
+    _INDEX = ("a", "b")
+    _WHAT = "exponents"
+    _MAX_DEGREE = 2 * MAX_TOTAL_DEGREE
 
     # -- constructors -------------------------------------------------------
 
@@ -240,36 +329,19 @@ class PolyZZbar:
     # -- inspection ---------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[tuple[int, int], complex]:
-        return _term_map(self)
-
-    @property
     def degree(self) -> int:
         if not self._c.size:
             return -1
         rows, cols = np.nonzero(self._c)
         return int((rows + cols).max())
 
-    def coeff(self, a: int, b: int) -> complex:
-        return self.terms.get((a, b), 0j)
-
-    def max_abs_coeff(self) -> float:
-        return float(np.abs(self._c).max()) if self._c.size else 0.0
-
     def items_sorted(self) -> list[tuple[tuple[int, int], complex]]:
         return list(self.terms.items())
 
-    def __bool__(self) -> bool:
-        return bool(self._c.size)
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, PolyZZbar):
-            return np.array_equal(self._c, other._c)
         if isinstance(other, (int, float, complex)):
-            return self == PolyZZbar.constant(other)
-        return NotImplemented
-
-    __hash__ = None  # equality is by value; not hashable
+            other = PolyZZbar.constant(other)
+        return super().__eq__(other)
 
     def __repr__(self) -> str:
         if not self._c.size:
@@ -386,31 +458,6 @@ class PolyZZbar:
     def prune(self, eps: float) -> "PolyZZbar":
         """Drop terms with |coeff| <= eps (display helper, not used in algebra)."""
         return _wrap(PolyZZbar, _trim(np.where(np.abs(self._c) > eps, self._c, 0)))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_obj(self) -> list[dict]:
-        """JSON form: array of {a, b, re, im} sorted by (a, b) ascending."""
-        return [
-            {"a": a, "b": b, "re": c.real, "im": c.imag}
-            for (a, b), c in self.items_sorted()
-        ]
-
-    @classmethod
-    def from_json_obj(cls, obj: Iterable[Mapping]) -> "PolyZZbar":
-        return cls(
-            {
-                (int(t["a"]), int(t["b"])): complex(float(t["re"]), float(t["im"]))
-                for t in obj
-            }
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolyZZbar":
-        return cls.from_json_obj(json.loads(text))
 
 
 # the monomials z and zbar, built once for the operators that multiply by them

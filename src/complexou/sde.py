@@ -241,7 +241,6 @@ class StationarityReport:
     ks_real: float
     ks_imag: float
     ks_threshold: float
-    passed: bool
 
     @property
     def max_ratio(self) -> float:
@@ -256,6 +255,11 @@ class StationarityReport:
                 self.ks_imag / self.ks_threshold,
             )
         )
+
+    @property
+    def passed(self) -> bool:
+        """Every moment within 4 SE and both KS statistics within the threshold."""
+        return self.max_ratio <= 1.0
 
 
 def stationarity_check(
@@ -284,13 +288,6 @@ def stationarity_check(
     ks_imag = float(stats.kstest(z.imag, "norm").statistic)
     threshold = KS_COEFF / math.sqrt(n_paths)
 
-    passed = (
-        abs(mean) <= 4.0 * mean_se
-        and abs(second) <= 4.0 * second_se
-        and abs(abs_mean - 2.0) <= 4.0 * abs_se
-        and ks_real <= threshold
-        and ks_imag <= threshold
-    )
     return StationarityReport(
         n_paths=n_paths,
         t_burn=float(t_burn),
@@ -303,7 +300,6 @@ def stationarity_check(
         ks_real=ks_real,
         ks_imag=ks_imag,
         ks_threshold=threshold,
-        passed=passed,
     )
 
 

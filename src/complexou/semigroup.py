@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,13 +43,13 @@ class PropagatorParams:
     The complex decay factor e^{-e^{i*theta} t} and the per-coordinate noise
     standard deviation sqrt(1 - e^{-2 t cos(theta)}) are computed once at
     construction and reused everywhere, so all routes share bitwise-identical
-    constants.
+    constants; neither can be passed in.
     """
 
     params: GeneratorParams
     t: float
-    decay: complex = 0j
-    noise_std: float = 0.0
+    decay: complex = field(init=False)
+    noise_std: float = field(init=False)
 
     def __post_init__(self):
         if not self.t >= 0.0:

@@ -1,9 +1,9 @@
 """Expansion coefficients over the complex Hermite basis of L2(gamma).
 
 A function f with finite expansion f = sum b[m,n] * J[m,n] is carried as one
-2-D complex array whose entry ``[m, n]`` is b[m,n], stored like the
-coefficient array of :class:`~.poly.PolyZZbar` and summed by the same array
-helpers: trimmed so that its last row and column each hold a nonzero entry
+2-D complex array whose entry ``[m, n]`` is b[m,n]: like
+:class:`~.poly.PolyZZbar`, a :class:`~.poly._Coeffs`, summed by the same array
+helpers and trimmed so that its last row and column each hold a nonzero entry
 (the zero expansion has shape (0, 0)), read-only, compared exactly.  Because
 the basis is orthonormal, Parseval gives ``norm_sq() == sum |b[m,n]|**2`` for
 the squared L2(gamma) norm, and an operator that is diagonal in the basis is
@@ -12,38 +12,22 @@ one elementwise product with its multiplier grid (:meth:`SpectralCoeffs.apply_di
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .poly import _from_terms, _sum, _term_map, _times, _wrap
+from .poly import MAX_TOTAL_DEGREE, _Coeffs, _number, _sum, _times, _wrap
 
 Scalar = Union[int, float, complex]
 
-_ENTRY_KEYS = ("m", "n", "re", "im")
 
-# Largest total degree m + n of the basis (the explicit J[m,n] formula and
-# every coefficient file); it also bounds the dense array a file fills.
-MAX_TOTAL_DEGREE = 64
-
-
-class SpectralCoeffs:
+class SpectralCoeffs(_Coeffs):
     """Finite expansion sum b[m,n] J[m,n]; entry [m, n] of the array is b[m,n]."""
 
-    __slots__ = ("_c", "_terms")
-
-    def __init__(self, terms: Mapping[tuple[int, int], complex] | None = None):
-        self._c = _from_terms(terms, "indices")
-        self._terms: Mapping[tuple[int, int], complex] | None = None
-
-    @property
-    def terms(self) -> Mapping[tuple[int, int], complex]:
-        """Read-only map (m, n) -> b[m,n] of the nonzero coefficients."""
-        return _term_map(self)
-
-    def coeff(self, m: int, n: int) -> complex:
-        return self.terms.get((m, n), 0j)
+    __slots__ = ()
+    _INDEX = ("m", "n")
+    _WHAT = "indices"
+    _MAX_DEGREE = MAX_TOTAL_DEGREE
 
     def items_sorted(self) -> list[tuple[tuple[int, int], complex]]:
         """Entries sorted by (m + n, m), the order used in serialized output."""
@@ -52,19 +36,6 @@ class SpectralCoeffs:
     def norm_sq(self) -> float:
         """Squared L2(gamma) norm via Parseval."""
         return float(np.sum(np.abs(self._c) ** 2))
-
-    def max_abs_coeff(self) -> float:
-        return float(np.abs(self._c).max()) if self._c.size else 0.0
-
-    def __bool__(self) -> bool:
-        return bool(self._c.size)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SpectralCoeffs):
-            return np.array_equal(self._c, other._c)
-        return NotImplemented
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         body = ", ".join(f"({m},{n}): {c:g}" for (m, n), c in self.items_sorted())
@@ -102,47 +73,15 @@ class SpectralCoeffs:
         obj: dict = {}
         if theta is not None:
             obj["theta"] = float(theta)
-        obj["coeffs"] = [
-            {"m": m, "n": n, "re": c.real, "im": c.imag}
-            for (m, n), c in self.items_sorted()
-        ]
+        obj["coeffs"] = super().to_json_obj()
         return obj
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> tuple["SpectralCoeffs", float | None]:
-        """Parse the JSON form.  m and n must be integers with m + n at most
-        ``MAX_TOTAL_DEGREE``, each (m, n) may appear once, and re, im and theta
-        must be numbers; anything else raises ValueError."""
+        """Parse the JSON form: "coeffs" is read as :meth:`_Coeffs.from_json_obj`
+        reads a list (m + n at most ``MAX_TOTAL_DEGREE``), and theta, if
+        given, must be a number; anything else raises ValueError."""
         if not isinstance(obj, Mapping) or not isinstance(obj.get("coeffs"), list):
             raise ValueError('coefficient input needs a "coeffs" list')
-        terms = {}
-        for t in obj["coeffs"]:
-            if not isinstance(t, Mapping) or any(k not in t for k in _ENTRY_KEYS):
-                raise ValueError(f"each coefficient needs the keys m, n, re, im; got {t!r}")
-            m, n = t["m"], t["n"]
-            # type() rather than isinstance(): JSON true and false are bools, not indices
-            if not (type(m) is type(n) is int and m >= 0 and n >= 0 and m + n <= MAX_TOTAL_DEGREE):
-                raise ValueError(
-                    f"m and n must be integers >= 0 with m + n <= {MAX_TOTAL_DEGREE}; got {t!r}"
-                )
-            if (m, n) in terms:
-                raise ValueError(f"coefficient (m, n) = {(m, n)} given more than once")
-            terms[(m, n)] = complex(_number(t["re"], "re"), _number(t["im"], "im"))
-        theta = obj.get("theta")
-        return cls(terms), (None if theta is None else _number(theta, "theta"))
-
-    def to_json(self, theta: float | None = None) -> str:
-        return json.dumps(self.to_json_obj(theta), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> tuple["SpectralCoeffs", float | None]:
-        return cls.from_json_obj(json.loads(text))
-
-
-def _number(v, name: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{name} must be a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError as exc:
-        raise ValueError(f"{name} is out of the float range") from exc
+        coeffs, theta = super().from_json_obj(obj["coeffs"]), obj.get("theta")
+        return coeffs, (None if theta is None else _number(theta, "theta"))

@@ -11,7 +11,7 @@ import math
 import pytest
 
 import complexou
-from complexou import checks, cli, sde
+from complexou import PolyZZbar, checks, cli, sde
 from complexou.cli import main
 from complexou.operator import GeneratorParams
 
@@ -132,6 +132,12 @@ class TestOperatorCommands:
         env = parse_envelope(out)
         assert code == 0
         assert env["results"]["gamma"] == [{"a": 0, "b": 0, "re": 2.0, "im": 0.0}]
+
+    def test_gamma_of_literals_at_the_degree_limit_reads_back(self, capsys):
+        code, out, _ = run_cli(capsys, "operator", "gamma", "--phi", "z^64", "--theta", "0.3")
+        assert code == 0
+        gamma = PolyZZbar.from_json_obj(parse_envelope(out)["results"]["gamma"])
+        assert gamma.degree == 126
 
     def test_gamma_psi_defaults_to_phi(self, capsys):
         _, out_a, _ = run_cli(capsys, "operator", "gamma", "--phi", "z*zbar - 2")
@@ -288,6 +294,14 @@ class TestSdeCommands:
         assert env["pass"] is True
         assert env["results"]["abs_second_moment"] == pytest.approx(2.0, abs=0.1)
 
+    def test_stationarity_passes_exactly_when_residual_within_tol(self, capsys):
+        argv = ("sde", "stationarity", "--theta", "0.5", "--paths", "2000", "--seed", "3")
+        ratio = parse_envelope(run_cli(capsys, *argv)[1])["max_residual"]
+        for tol, code in ((ratio, 0), (ratio / 2, 1)):
+            got, out, _ = run_cli(capsys, *argv, "--tol", repr(tol))
+            assert got == code
+            assert parse_envelope(out)["pass"] is (code == 0)
+
     def test_euler_scheme_requires_dt(self, capsys):
         code, _, err = run_cli(
             capsys, "sde", "simulate", "--theta", "0", "--t", "1", "--paths", "10",
@@ -302,6 +316,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["operator", "eigen", "--m", "1", "--n", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("m, n, flag", [("-1", "0", "--m"), ("2", "-3", "--n")])
+    def test_eigen_negative_index_is_usage_error(self, capsys, m, n, flag):
+        # lambda[m,n] has a value at any m, n, but no basis element J[m,n] does
+        with pytest.raises(SystemExit) as exc:
+            main(["operator", "eigen", "--theta", "0.3", "--m", m, "--n", n])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert f"error: argument {flag}: not a non-negative integer" in err
 
     def test_domain_error_from_bad_angle(self, capsys):
         code, _, err = run_cli(capsys, "operator", "eigen", "--theta", "2.0", "--m", "1", "--n", "0")

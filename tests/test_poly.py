@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from complexou import PolyWWbar, PolyZZbar, complex_hermite, compose, gauss_hermite_rule
 from complexou.poly import MonomialTable, _trim, _wrap
+from complexou.spectral import MAX_TOTAL_DEGREE
 
 Z = PolyZZbar.z()
 ZBAR = PolyZZbar.zbar()
@@ -289,6 +290,37 @@ class TestSerialization:
     def test_json_fields(self):
         text = PolyZZbar({(1, 1): 0.5 - 0.25j}).to_json()
         assert json.loads(text) == [{"a": 1, "b": 1, "re": 0.5, "im": -0.25}]
+
+    # the reader takes twice the basis limit: the degree of Gamma(phi, psi)
+    # for two literals at the limit
+    CAP = 2 * MAX_TOTAL_DEGREE
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [{"a": 1.7, "b": 0, "re": 1.0, "im": 0.0}],
+            [{"a": 1, "b": True, "re": 1.0, "im": 0.0}],
+            [{"a": 0, "b": -1, "re": 1.0, "im": 0.0}],
+            [{"a": CAP, "b": 1, "re": 1.0, "im": 0.0}],
+            [{"a": 1, "b": 0, "re": 1.0, "im": 0.0}, {"a": 1, "b": 0, "re": 2.0, "im": 0.0}],
+            [{"a": 0, "b": 0, "re": "1.5", "im": 0.0}],
+            [{"a": 0, "b": 0, "re": 1.0, "im": None}],
+            [{"a": 0, "b": 0, "re": 1.0}],
+            {"a": 0, "b": 0, "re": 1.0, "im": 0.0},
+        ],
+        ids=[
+            "float exponent", "bool exponent", "negative exponent", "degree above cap",
+            "repeated pair", "string re", "null im", "missing im", "not a list",
+        ],
+    )
+    def test_json_rejects_malformed_input(self, obj):
+        with pytest.raises(ValueError):
+            PolyZZbar.from_json_obj(obj)
+
+    def test_json_roundtrip_at_degree_cap(self):
+        p = PolyZZbar({(self.CAP, 0): 1.5, (3, self.CAP - 3): -2j, (0, 0): 1.0})
+        assert p.degree == self.CAP
+        assert PolyZZbar.from_json(p.to_json()) == p
 
 
 def test_immutability():

@@ -62,6 +62,11 @@ class TestPropagatorParams:
         assert p.decay == 1.0 + 0.0j
         assert p.noise_std == 0.0
 
+    @pytest.mark.parametrize("field", ["decay", "noise_std"])
+    def test_derived_factors_cannot_be_passed(self, field):
+        with pytest.raises(TypeError):
+            PropagatorParams(GeneratorParams(0.3), 1.0, **{field: 0.5})
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             PropagatorParams(GeneratorParams(0.0), -0.1)
