@@ -20,6 +20,7 @@ import numpy as np
 from . import hermite, sde
 from .operator import (
     GeneratorParams,
+    adjoint_params,
     apply_generator_spectral,
     apply_generator_wirtinger,
     carre_du_champ,
@@ -62,8 +63,8 @@ class CheckReport:
 
     name: str
     passed: bool
-    max_residual: float | None = None
-    tol: float | None = None
+    max_residual: float
+    tol: float
     details: dict = field(default_factory=dict)
 
     @classmethod
@@ -72,11 +73,10 @@ class CheckReport:
         return cls(name, worst <= tol, worst, tol, details)
 
     def to_json_obj(self) -> dict:
-        obj = {"name": self.name, "pass": self.passed}
-        if self.max_residual is not None:
-            obj["max_residual"] = self.max_residual
-        if self.tol is not None:
-            obj["tol"] = self.tol
+        obj = {
+            "name": self.name, "pass": self.passed,
+            "max_residual": self.max_residual, "tol": self.tol,
+        }
         if self.details:
             obj["details"] = self.details
         return obj
@@ -126,15 +126,6 @@ def random_points(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def _basis_indices(max_degree: int) -> list[tuple[int, int]]:
-    return [
-        (m, n)
-        for total in range(max_degree + 1)
-        for m in range(total + 1)
-        for n in [total - m]
-    ]
-
-
 # -- hermite / quadrature suites ----------------------------------------------
 
 
@@ -142,7 +133,7 @@ def check_orthonormality(max_degree: int = 10, order: int = 12) -> CheckReport:
     """Gram matrix of {J[m,n] : m+n <= max_degree} vs the identity."""
     rule = gauss_hermite_rule(order)
     pts, wts = rule.tensor_points()
-    vals = np.array([hermite.complex_hermite(m, n).eval(pts) for m, n in _basis_indices(max_degree)])
+    vals = hermite.basis_values(max_degree, pts)
     gram = (vals * wts) @ vals.conj().T
     resid = float(np.max(np.abs(gram - np.eye(len(gram)))))
     return CheckReport.within(
@@ -159,7 +150,7 @@ def check_eigenrelation(
     worst = 0.0
     for theta in thetas:
         params = GeneratorParams(theta)
-        for m, n in _basis_indices(max_degree):
+        for m, n in hermite.basis_indices(max_degree):
             j = hermite.complex_hermite(m, n)
             lam = eigenvalue(params, m, n)
             target = j * lam
@@ -219,7 +210,7 @@ def check_quadrature(order: int = 12) -> CheckReport:
 def check_roundtrip(max_degree: int = 10) -> CheckReport:
     """synthesize(project(phi)) recovers phi coefficientwise (exact expansion)."""
     worst = 0.0
-    for a, b in _basis_indices(max_degree):
+    for a, b in hermite.basis_indices(max_degree):
         p = PolyZZbar({(a, b): 1.0 + 0.5j})
         back = hermite.synthesize(hermite.project_monomials(p))
         worst = max(worst, (back - p).max_abs_coeff() / max(1.0, p.max_abs_coeff()))
@@ -312,7 +303,7 @@ def check_operator_normality(
     worst = 0.0
     for theta in thetas:
         params = GeneratorParams(theta)
-        adj = GeneratorParams(-theta)
+        adj = adjoint_params(params)
         for _ in range(5):
             phi = random_poly(rng, max_degree)
             a = apply_generator_wirtinger(params, apply_generator_wirtinger(adj, phi))
@@ -376,7 +367,7 @@ def check_semigroup_normality(
     for theta in thetas:
         for t in ts:
             p = PropagatorParams(GeneratorParams(theta), t)
-            for a, b in _basis_indices(max_degree):
+            for a, b in hermite.basis_indices(max_degree):
                 phi = PolyZZbar({(a, b): 1.0})
                 lhs, rhs, fused = normality_commutator(p, phi, pts, rule)
                 scale = 1.0 + np.abs(lhs)

@@ -15,6 +15,7 @@ Polynomial arguments (--phi/--psi) use the little expression grammar from
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -71,7 +72,6 @@ def _cmd_suite(cmd, args) -> dict:
         max_residual=report.max_residual,
         tol=tol,
         seed=getattr(args, "seed", None),
-        passed=None if report.max_residual is not None else report.passed,
     )
 
 
@@ -252,15 +252,9 @@ def _cmd_sde_stationarity(args) -> dict:
         "sde stationarity",
         {"theta": args.theta, "paths": args.paths, "t_burn": rep.t_burn, "tol": tol},
         {
-            "mean": _complex_obj(rep.mean),
-            "mean_se": rep.mean_se,
-            "second_moment": _complex_obj(rep.second_moment),
-            "second_moment_se": rep.second_moment_se,
-            "abs_second_moment": rep.abs_second_moment,
-            "abs_second_moment_se": rep.abs_second_moment_se,
-            "ks_real": rep.ks_real,
-            "ks_imag": rep.ks_imag,
-            "ks_threshold": rep.ks_threshold,
+            key: _complex_obj(value) if isinstance(value, complex) else value
+            for key, value in dataclasses.asdict(rep).items()
+            if key not in ("n_paths", "t_burn")
         },
         max_residual=rep.max_ratio,
         tol=tol,
@@ -462,8 +456,7 @@ def _pretty(env: dict, stream) -> None:
     if suites:
         width = max(len(s["name"]) for s in suites)
         for s in suites:
-            resid = f"{s['max_residual']:.3e}" if "max_residual" in s else "-"
-            tol = f"{s['tol']:.1e}" if "tol" in s else "-"
+            resid, tol = f"{s['max_residual']:.3e}", f"{s['tol']:.1e}"
             status = "PASS" if s["pass"] else "FAIL"
             print(f"  {s['name']:<{width}}  {resid:>10}  tol {tol:>8}  {status}", file=stream)
         return

@@ -156,6 +156,18 @@ def complex_hermite(m: int, n: int) -> PolyZZbar:
     return _wrap(PolyZZbar, c)
 
 
+def basis_indices(max_total: int) -> list[tuple[int, int]]:
+    """Every (m, n) with m + n <= max_total, by total degree, then by m: the
+    order of :meth:`SpectralCoeffs.items_sorted`."""
+    return [(m, total - m) for total in range(max_total + 1) for m in range(total + 1)]
+
+
+def basis_values(max_total: int, pts: np.ndarray) -> np.ndarray:
+    """J[m,n](pts) from the explicit form, one row per :func:`basis_indices`
+    entry: the basis on a grid, as projections and Gram matrices read it."""
+    return np.array([complex_hermite(m, n).eval(pts) for m, n in basis_indices(max_total)])
+
+
 def _creation_scale(m: int, n: int) -> float:
     """sqrt(2^(m+n) / (m! n!)), which normalizes (a*)^m (abar*)^n 1 to J[m,n]."""
     return math.exp(0.5 * ((m + n) * _LN2 - math.lgamma(m + 1) - math.lgamma(n + 1)))

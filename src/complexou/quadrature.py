@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .hermite import complex_hermite
+from .hermite import basis_indices, basis_values
 from .spectral import SpectralCoeffs
 
 MAX_ORDER = 128
@@ -95,10 +95,5 @@ def project(rule: QuadratureRule, f, max_total_degree: int) -> SpectralCoeffs:
         raise ValueError("max_total_degree must be >= 0")
     pts, wts = rule.tensor_points()
     fw = _eval_at(f, pts) * wts
-    terms: dict[tuple[int, int], complex] = {}
-    for total in range(max_total_degree + 1):
-        for m in range(total + 1):
-            n = total - m
-            basis = complex_hermite(m, n).eval(pts)
-            terms[(m, n)] = complex(np.sum(fw * np.conjugate(basis)))
-    return SpectralCoeffs(terms)
+    rows = zip(basis_indices(max_total_degree), basis_values(max_total_degree, pts))
+    return SpectralCoeffs({mn: complex(np.sum(fw * np.conjugate(row))) for mn, row in rows})

@@ -20,8 +20,8 @@ are issued in a fixed vectorized order (one (n_paths, 2) block per time step),
 so identical configs give bit-identical ensembles and distinct seeds give
 independent streams.
 
-Ensembles are stored time-major: a sampler fills one (T, n_paths) buffer row
-by row, stepping each row in place from the previous one, and
+Ensembles are stored time-major: both samplers fill one (T, n_paths) buffer
+row by row in one step loop (:func:`_sample`), each row from the previous, and
 :class:`PathEnsemble` exposes its transpose.  So ``states[:, k]`` (all paths at
 one recorded time, what every estimator reads) is contiguous memory, while
 ``states[i, k]`` keeps its path-first indexing.
@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .operator import GeneratorParams
 from .quadrature import _eval_at
@@ -151,22 +150,39 @@ def _ensemble(config: SimConfig, states: np.ndarray) -> PathEnsemble:
     return PathEnsemble(config, states.T)
 
 
+def _advance(z, factor, src, amp, noise, kick) -> None:
+    """z = factor * src + amp * noise, each product with the scalar first; kick
+    holds amp * noise (it may be noise itself)."""
+    np.multiply(factor, src, out=z)
+    np.multiply(amp, noise, out=kick)
+    z += kick
+
+
+def _sample(config: SimConfig, gaps) -> PathEnsemble:
+    """Fill the time-major buffer from one (steps, factor, amp) per grid gap.
+
+    Each step draws W and sets z = factor * z + amp * W; a gap's first step
+    reads row k - 1 and writes row k, the rest step row k in place.
+    """
+    rng = _rng(config.seed)
+    states = _time_major(config)
+    for k, (steps, factor, amp) in enumerate(gaps, start=1):
+        z, src = states[k], states[k - 1]
+        for _ in range(steps):
+            w = _complex_normals(rng, config.n_paths)
+            _advance(z, factor, src, amp, w, w)
+            src = z
+    return _ensemble(config, states)
+
+
 def sample_exact(config: SimConfig) -> PathEnsemble:
     """Draw paths from the exact conditional law over each grid increment."""
     if config.scheme != "exact":
         raise ValueError("config.scheme must be 'exact'")
-    rng = _rng(config.seed)
-    states = _time_major(config)
-    for k in range(1, len(config.t_grid)):
-        decay, noise_std = transition_factors(
-            config.params, config.t_grid[k] - config.t_grid[k - 1]
-        )
-        # decay * Z + noise_std * W, each product with the scalar first
-        w = _complex_normals(rng, config.n_paths)
-        np.multiply(decay, states[k - 1], out=states[k])
-        np.multiply(noise_std, w, out=w)
-        states[k] += w
-    return _ensemble(config, states)
+    grid = config.t_grid
+    return _sample(
+        config, [(1, *transition_factors(config.params, b - a)) for a, b in zip(grid, grid[1:])]
+    )
 
 
 def sample_euler(config: SimConfig, noise_factor: float = 1.0) -> PathEnsemble:
@@ -177,19 +193,9 @@ def sample_euler(config: SimConfig, noise_factor: float = 1.0) -> PathEnsemble:
     """
     if config.scheme != "euler":
         raise ValueError("config.scheme must be 'euler'")
-    rng = _rng(config.seed)
     drift_step = 1.0 - config.params.drift * config.dt
     amp = noise_factor * math.sqrt(2.0 * config.params.cos_theta * config.dt)
-    states = _time_major(config)
-    for k, steps in enumerate(config.steps_per_gap(), start=1):
-        z = states[k]
-        z[...] = states[k - 1]
-        for _ in range(steps):
-            w = _complex_normals(rng, config.n_paths)
-            np.multiply(drift_step, z, out=z)
-            np.multiply(amp, w, out=w)
-            z += w
-    return _ensemble(config, states)
+    return _sample(config, [(steps, drift_step, amp) for steps in config.steps_per_gap()])
 
 
 def _mean_and_se(vals: np.ndarray) -> tuple[complex, float]:
@@ -203,12 +209,17 @@ def _mean_and_se(vals: np.ndarray) -> tuple[complex, float]:
     return mean, math.sqrt(var / n)
 
 
+def _real_mean_and_se(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean of real values and its standard error, with the unbiased
+    variance estimate; the error is 0.0 for fewer than 2 samples."""
+    se = float(vals.std(ddof=1)) / math.sqrt(vals.size) if vals.size > 1 else 0.0
+    return float(vals.mean()), se
+
+
 def abs_second_moment(z: np.ndarray) -> tuple[float, float]:
     """Sample mean of |z|^2 and its standard error, with the unbiased variance
     estimate; the error is 0.0 for fewer than 2 samples."""
-    abs_sq = np.abs(z) ** 2
-    se = float(abs_sq.std(ddof=1)) / math.sqrt(z.size) if z.size > 1 else 0.0
-    return float(abs_sq.mean()), se
+    return _real_mean_and_se(np.abs(z) ** 2)
 
 
 def estimate_pt(ensemble: PathEnsemble, phi, t_index: int) -> tuple[complex, float]:
@@ -284,6 +295,8 @@ def stationarity_check(
     second, second_se = _mean_and_se(z * z)
     abs_mean, abs_se = abs_second_moment(z)
 
+    from scipy import stats  # here, so commands that test no stationarity skip its import
+
     ks_real = float(stats.kstest(z.real, "norm").statistic)
     ks_imag = float(stats.kstest(z.imag, "norm").statistic)
     threshold = KS_COEFF / math.sqrt(n_paths)
@@ -329,6 +342,8 @@ def euler_halving_probe(
     seed: int,
 ) -> HalvingReport:
     """Estimate the Euler weak-error gaps on E|Z_t|^2 between dt, 2dt, 4dt."""
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2 for standard errors, got {n_paths}")
     n_steps = round(t / dt_fine)
     if abs(n_steps * dt_fine - t) > 1e-12 or n_steps % 4 != 0:
         raise ValueError("t must be a multiple of 4*dt_fine")
@@ -348,31 +363,19 @@ def euler_halving_probe(
     acc4 = np.zeros(n_paths, dtype=complex)
     kick = np.empty(n_paths, dtype=complex)
 
-    def advance(z, step, increment):
-        # z = step * z + sigma * increment, each product with the scalar first
-        np.multiply(step, z, out=z)
-        np.multiply(sigma, increment, out=kick)
-        z += kick
-
     for k in range(1, n_steps + 1):
         db = _complex_normals(rng, n_paths)
         np.multiply(sq_dt, db, out=db)
-        advance(z1, step1, db)
+        _advance(z1, step1, z1, sigma, db, kick)
         acc2 += db
         acc4 += db
         if k % 2 == 0:
-            advance(z2, step2, acc2)
+            _advance(z2, step2, z2, sigma, acc2, kick)
             acc2[:] = 0.0
         if k % 4 == 0:
-            advance(z4, step4, acc4)
+            _advance(z4, step4, z4, sigma, acc4, kick)
             acc4[:] = 0.0
 
-    d_coarse = np.abs(z4) ** 2 - np.abs(z2) ** 2
-    d_fine = np.abs(z2) ** 2 - np.abs(z1) ** 2
-    return HalvingReport(
-        dt_fine=dt_fine,
-        diff_coarse=float(d_coarse.mean()),
-        diff_coarse_se=float(d_coarse.std(ddof=1)) / math.sqrt(n_paths),
-        diff_fine=float(d_fine.mean()),
-        diff_fine_se=float(d_fine.std(ddof=1)) / math.sqrt(n_paths),
-    )
+    coarse, coarse_se = _real_mean_and_se(np.abs(z4) ** 2 - np.abs(z2) ** 2)
+    fine, fine_se = _real_mean_and_se(np.abs(z2) ** 2 - np.abs(z1) ** 2)
+    return HalvingReport(dt_fine, coarse, coarse_se, fine, fine_se)

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator import GeneratorParams, eigenvalue
+from .hermite import complex_hermite
+from .operator import GeneratorParams, adjoint_params, eigenvalue
 from .poly import PolyWWbar
 from .quadrature import QuadratureRule, _eval_at, integrate_gamma
 from .spectral import SpectralCoeffs
@@ -68,7 +69,7 @@ class PropagatorParams:
 
 def adjoint_semigroup(p: PropagatorParams) -> PropagatorParams:
     """The adjoint propagator: theta -> -theta, same t."""
-    return PropagatorParams(GeneratorParams(-p.params.theta), p.t)
+    return PropagatorParams(adjoint_params(p.params), p.t)
 
 
 def semigroup_spectral(p: PropagatorParams, f: SpectralCoeffs) -> SpectralCoeffs:
@@ -95,16 +96,6 @@ def semigroup_mehler(p: PropagatorParams, phi, x, rule: QuadratureRule):
     return complex(vals) if xv.ndim == 0 else vals
 
 
-def _nested_mehler(outer: PropagatorParams, inner: PropagatorParams, phi, x, rule):
-    """(P^outer P^inner phi)(x): the inner decay acts on the outer-shifted point."""
-    pts, wts = rule.tensor_points()
-    xv = np.asarray(x, dtype=complex)
-    mid = outer.decay * xv[..., None] + outer.noise_std * pts
-    args = inner.decay * mid[..., None] + inner.noise_std * pts
-    vals = (_eval_at(phi, args) @ wts) @ wts
-    return complex(vals) if xv.ndim == 0 else vals
-
-
 def normality_commutator(p: PropagatorParams, phi, x, rule: QuadratureRule):
     """Evaluate (P_t P_t* phi)(x), (P_t* P_t phi)(x), and the fused form.
 
@@ -115,8 +106,8 @@ def normality_commutator(p: PropagatorParams, phi, x, rule: QuadratureRule):
     semigroup normal.
     """
     adj = adjoint_semigroup(p)
-    lhs = _nested_mehler(p, adj, phi, x, rule)
-    rhs = _nested_mehler(adj, p, phi, x, rule)
+    lhs = semigroup_mehler(p, lambda y: semigroup_mehler(adj, phi, y, rule), x, rule)
+    rhs = semigroup_mehler(adj, lambda y: semigroup_mehler(p, phi, y, rule), x, rule)
     fused_p = PropagatorParams(GeneratorParams(0.0), 2.0 * p.t * p.params.cos_theta)
     fused = semigroup_mehler(fused_p, phi, x, rule)
     return lhs, rhs, fused
@@ -174,8 +165,6 @@ class ErgodicEnvelope:
 
 def ergodic_envelope(coeffs: SpectralCoeffs, x: complex) -> ErgodicEnvelope:
     """Build the decay envelope at the point x from a basis expansion."""
-    from .hermite import complex_hermite
-
     amplitude = 0.0
     degree = None
     for (m, n), c in coeffs.terms.items():

@@ -51,3 +51,10 @@ def test_random_outer_matches_scalar_draws(n_slots, max_degree):
     got = checks.random_outer(rng, n_slots, max_degree)
     assert got.n_slots == n_slots
     same_draws(dict(got.terms), want, rng, ref_rng)
+
+
+def test_report_requires_residual_and_tol():
+    with pytest.raises(TypeError):
+        checks.CheckReport("suite", True)
+    report = checks.CheckReport.within("suite", 0.5, 1.0, {})
+    assert report.to_json_obj() == {"name": "suite", "pass": True, "max_residual": 0.5, "tol": 1.0}

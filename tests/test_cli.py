@@ -7,6 +7,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -712,3 +716,16 @@ class TestVerifyAll:
         assert "quadrature-selftest" in names
         assert "sde-vs-mehler" in names
         assert "PASS" in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is imported by the one stationarity test that uses it, so a
+    # command that does not test stationarity does not pay for loading it
+    src = str(Path(complexou.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, complexou.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -26,6 +26,7 @@ from complexou import (
     real_hermite,
     synthesize,
 )
+from complexou import hermite
 from complexou.hermite import MAX_TRANSFORM_DEGREE
 
 SQRT2 = math.sqrt(2.0)
@@ -289,3 +290,25 @@ class TestOneArraySums:
     def test_empty_sums(self):
         assert synthesize(SpectralCoeffs()) == PolyZZbar.zero()
         assert project_monomials(PolyZZbar.zero()) == SpectralCoeffs()
+
+
+class TestBasisGrid:
+    @pytest.mark.parametrize("max_total", [0, 1, 7])
+    def test_indices_in_items_sorted_order(self, max_total):
+        dense = SpectralCoeffs(
+            {
+                (m, n): 1.0 + m - 2j * n
+                for m in range(max_total + 1)
+                for n in range(max_total + 1 - m)
+            }
+        )
+        assert hermite.basis_indices(max_total) == [mn for mn, _ in dense.items_sorted()]
+
+    def test_rows_are_explicit_basis_values(self):
+        rng = np.random.default_rng(157)
+        pts = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        rows = hermite.basis_values(6, pts)
+        indices = hermite.basis_indices(6)
+        assert rows.shape == (len(indices), pts.size)
+        for row, (m, n) in zip(rows, indices):
+            assert row.tobytes() == complex_hermite(m, n).eval(pts).tobytes()

@@ -169,6 +169,27 @@ class TestProjection:
             project(default_rule(4), PolyZZbar.z(), -1)
 
 
+def loop_project(rule, f, max_total_degree):
+    """project as one basis evaluation and one weighted sum per (m, n)."""
+    pts, wts = rule.tensor_points()
+    fw = f.eval(pts) * wts
+    terms = {}
+    for total in range(max_total_degree + 1):
+        for m in range(total + 1):
+            basis = complex_hermite(m, total - m).eval(pts)
+            terms[(m, total - m)] = complex(np.sum(fw * np.conjugate(basis)))
+    return SpectralCoeffs(terms)
+
+
+@pytest.mark.parametrize("degree, max_total, order", [(0, 0, 1), (3, 3, 5), (6, 7, 8), (8, 8, 7)])
+def test_project_matches_per_index_loop_bit_for_bit(degree, max_total, order):
+    f = random_poly(np.random.default_rng(151 + degree), degree)
+    rule = gauss_hermite_rule(order)
+    got, want = project(rule, f, max_total), loop_project(rule, f, max_total)
+    assert got._c.shape == want._c.shape
+    assert got._c.tobytes() == want._c.tobytes()
+
+
 def test_integrate_accepts_plain_callables():
     rule = gauss_hermite_rule(8)
     got = integrate_gamma(rule, lambda w: np.abs(w) ** 2)

@@ -221,6 +221,10 @@ class TestEulerWeakConvergence:
         with pytest.raises(ValueError):
             euler_halving_probe(GeneratorParams(0.0), 1.0, 1.0, 3e-3, 100, SEED)
 
+    def test_needs_two_paths_for_standard_errors(self):
+        with pytest.raises(ValueError, match="n_paths must be >= 2 for standard errors, got 1"):
+            euler_halving_probe(GeneratorParams(0.3), 1.0, 1.0, 0.25, 1, SEED)
+
 
 class TestRotationCovariance:
     def test_rotated_start_matches_rotated_read(self):

@@ -209,6 +209,40 @@ class TestNormalityCommutator:
                         assert abs(lhs - fused) <= 1e-8 * scale
 
 
+def broadcast_nested_mehler(outer, inner, phi, x, rule):
+    """(P^outer P^inner phi)(x) as one broadcast sweep over K^2 x K^2 nodes:
+    the inner decay acts on the outer-shifted point."""
+    pts, wts = rule.tensor_points()
+    xv = np.asarray(x, dtype=complex)
+    mid = outer.decay * xv[..., None] + outer.noise_std * pts
+    args = inner.decay * mid[..., None] + inner.noise_std * pts
+    vals = (phi.eval(args) @ wts) @ wts
+    return complex(vals) if xv.ndim == 0 else vals
+
+
+class TestNestedSweepBits:
+    """P P* and P* P as nested semigroup_mehler calls run the broadcast
+    two-level sweep's operations in its order, so they equal it bit for bit."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7, -0.7, 1.2])
+    @pytest.mark.parametrize(
+        "x", [0.3 - 1.1j, np.array([0.0, 0.9 + 0.4j, -1.5 + 2.0j])], ids=["scalar", "array"]
+    )
+    def test_matches_broadcast_sweep(self, theta, x):
+        rng = np.random.default_rng(149)
+        phi = random_poly(rng, 5)
+        rule = default_rule(5)
+        p = PropagatorParams(GeneratorParams(theta), 0.8)
+        adj = adjoint_semigroup(p)
+        lhs, rhs, _ = normality_commutator(p, phi, x, rule)
+        for got, want in (
+            (lhs, broadcast_nested_mehler(p, adj, phi, x, rule)),
+            (rhs, broadcast_nested_mehler(adj, p, phi, x, rule)),
+        ):
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestAdjointPairing:
     def test_pairing_transfers_to_flipped_angle(self):
         rng = np.random.default_rng(131)
