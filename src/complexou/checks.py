@@ -21,7 +21,6 @@ from . import hermite, sde
 from .operator import (
     GeneratorParams,
     adjoint_params,
-    apply_generator_spectral,
     apply_generator_wirtinger,
     carre_du_champ,
     carre_du_champ_via_generator,
@@ -525,7 +524,7 @@ def check_sde_moments(
 
             dev_sq = np.abs(z - z.mean()) ** 2
             var_hat = float(dev_sq.sum()) / (n_paths - 1)
-            var_se = float(dev_sq.std(ddof=1)) / math.sqrt(n_paths)
+            var_se = sde._real_mean_and_se(dev_sq)[1]
             var_dev = abs(var_hat - 2.0 * p.noise_std**2) / var_se
             worst = max(worst, mean_dev, var_dev)
     return CheckReport(

@@ -24,6 +24,13 @@ J[m,n] is built by two independent routes that must agree:
        abar*: p -> -dp/dz   + (zbar/2) p
        J[m,n] = sqrt(2^(m+n)/(m! n!)) (a*)^m (abar*)^n 1.
 
+Pointwise values of the basis on a grid (:func:`basis_values`, which
+projections, Gram matrices and decay envelopes read) come from a third
+form, the radial Laguerre recurrence, which stays accurate up to
+MAX_TOTAL_DEGREE, where the alternating terms of the explicit sum cancel.
+The tests check it against the explicit form where that evaluates
+accurately.
+
 The degree-l slices {J[m, l-m]} and {H_k(x) H_{l-k}(y)} with z = x + i*y span
 the same subspace; :func:`build_basis_transform` realizes both change-of-basis
 matrices from their closed-form coefficient sums (never by numerical
@@ -163,9 +170,41 @@ def basis_indices(max_total: int) -> list[tuple[int, int]]:
 
 
 def basis_values(max_total: int, pts: np.ndarray) -> np.ndarray:
-    """J[m,n](pts) from the explicit form, one row per :func:`basis_indices`
-    entry: the basis on a grid, as projections and Gram matrices read it."""
-    return np.array([complex_hermite(m, n).eval(pts) for m, n in basis_indices(max_total)])
+    """J[m,n](pts), one row per :func:`basis_indices` entry: the basis on a
+    grid, as projections and Gram matrices read it.
+
+    Rows come from the radial Laguerre form (Ismail, Trans. AMS 368, 2016):
+    for m >= n and a = m - n,
+
+        J[m,n](z) = J[a,0](z) s_n(|z|^2 / 2),   J[a,0](z) = z^a / sqrt(2^a a!),
+
+    where s_k = (-1)^k sqrt(k! a! / (k+a)!) L_k^a is the signed, normalized
+    Laguerre polynomial, s_0 = 1, s_{-1} = 0, by its three-term recurrence
+    s_{k+1} = ((x - 2k-1-a) s_k - sqrt(k(k+a)) s_{k-1}) / sqrt((k+1)(k+1+a));
+    the rows with m < n are the conjugates.  The explicit sum adds alternating
+    terms far larger than J, which cancel at high degree; the recurrence does
+    not, so it stays accurate up to MAX_TOTAL_DEGREE on the largest nodes.
+    """
+    if not 0 <= max_total <= MAX_TOTAL_DEGREE:
+        raise ValueError(f"max_total must be in [0, {MAX_TOTAL_DEGREE}], got {max_total}")
+    z = np.asarray(pts, dtype=complex)
+    x = 0.5 * (z.real**2 + z.imag**2)
+    out = np.empty(((max_total + 1) * (max_total + 2) // 2,) + z.shape, dtype=complex)
+    radial = np.ones_like(z)
+    for a in range(max_total + 1):
+        if a:
+            radial = radial * z / math.sqrt(2 * a)
+        prev, cur = np.zeros_like(x), np.ones_like(x)
+        for k in range((max_total - a) // 2 + 1):
+            if k:
+                prev, cur = cur, (
+                    (x - (2 * k - 1 + a)) * cur - math.sqrt((k - 1) * (k - 1 + a)) * prev
+                ) / math.sqrt(k * (k + a))
+            first = (a + 2 * k) * (a + 2 * k + 1) // 2  # row of (0, a + 2k)
+            np.multiply(radial, cur, out=out[first + a + k])  # J[a+k, k]
+            if a:
+                np.conjugate(out[first + a + k], out=out[first + k])  # J[k, a+k]
+    return out
 
 
 def _creation_scale(m: int, n: int) -> float:

@@ -29,7 +29,8 @@ Conventions baked into the representation:
   ``conjugate(p).eval(w) == conj(p.eval(w))``,
 - evaluation is nested Horner, w over the rows and conj(w) along each row,
   seeded with each row's last nonzero coefficient so that zero coefficients
-  and all-zero rows add nothing.
+  and all-zero rows add nothing; many points are swept in cache-sized
+  blocks, with the values of one sweep.
 
 Both :class:`PolyZZbar` and :class:`~.spectral.SpectralCoeffs` (basis
 expansions) are :class:`_Coeffs`: the base owns the array, its construction
@@ -171,6 +172,29 @@ def _horner_row(row: list, wbar: np.ndarray, out: np.ndarray) -> np.ndarray:
         if coef:
             out += coef
     return out
+
+
+def _horner(rows: list, w: np.ndarray, wbar: np.ndarray, acc: np.ndarray,
+            inner: np.ndarray) -> np.ndarray:
+    """acc = the polynomial with coefficient rows ``rows`` (top row first) at
+    (w, wbar): Horner in w over the rows, each row's Horner in wbar into inner."""
+    _horner_row(rows[0], wbar, acc)
+    for row in rows[1:]:
+        acc *= w
+        if any(row[1:]):
+            acc += _horner_row(row, wbar, inner)
+        elif row[0]:
+            acc += row[0]
+    return acc
+
+
+# Most points per block of PolyZZbar.eval.  Each array a block's sweep touches
+# (its w, their conjugates, the accumulator and a row's value) is then at most
+# 256 KiB, 1 MiB together, which stays in a 2 MiB L2 cache through the sweep's
+# passes.  The points are split evenly, so no block is shorter than half of
+# this: numpy multiplies a one-element array in place through another loop,
+# which rounds differently.
+_EVAL_BLOCK = 16384
 
 
 # Largest total degree m + n of the basis (the explicit J[m,n] formula and
@@ -435,23 +459,32 @@ class PolyZZbar(_Coeffs):
         last nonzero coefficient.  A zero coefficient costs one multiplication
         and no addition, an all-zero row only the outer multiplication, and a
         row whose one nonzero coefficient is its first adds that scalar.
+
+        More than ``_EVAL_BLOCK`` points are split into equal blocks of at most
+        that many, swept one at a time, so the working buffers stay in cache
+        through every pass.  Each point sees the same operations either way,
+        so the values are those of one sweep over all points.
         """
         scalar = np.isscalar(w) or isinstance(w, complex)
         c = self._c
         if not c.size:
             return 0j if scalar else np.zeros(np.shape(w), dtype=complex)
         wv = np.asarray(w, dtype=complex)
-        wbar = np.conjugate(wv)
         rows = c[::-1].tolist()
-        acc = _horner_row(rows[0], wbar, np.empty_like(wv))
-        inner = np.empty_like(wv)
-        for row in rows[1:]:
-            acc *= wv
-            if any(row[1:]):
-                acc += _horner_row(row, wbar, inner)
-            elif row[0]:
-                acc += row[0]
-        return complex(acc) if scalar else acc
+        if wv.size <= _EVAL_BLOCK:
+            acc = _horner(rows, wv, np.conjugate(wv), np.empty_like(wv), np.empty_like(wv))
+            return complex(acc) if scalar else acc
+        flat = wv.ravel()
+        out = np.empty(flat.size, dtype=complex)
+        wbar = np.empty(_EVAL_BLOCK, dtype=complex)
+        inner = np.empty(_EVAL_BLOCK, dtype=complex)
+        n_blocks = -(-flat.size // _EVAL_BLOCK)
+        bounds = [flat.size * i // n_blocks for i in range(n_blocks + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            n = hi - lo
+            block = flat[lo:hi]
+            _horner(rows, block, np.conjugate(block, out=wbar[:n]), out[lo:hi], inner[:n])
+        return out.reshape(wv.shape)
 
     # -- utilities ----------------------------------------------------------
 

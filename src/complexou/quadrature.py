@@ -5,11 +5,16 @@ Probabilist convention throughout: the 1-d weight is exp(-x^2/2)/sqrt(2*pi)
 tensor square, d(gamma) = (1/2*pi) exp(-(x^2+y^2)/2) dx dy, so each coordinate
 of z = x + i*y has variance 1 and E|z|^2 = 2.
 
-Nodes and weights come from the Golub-Welsch construction: eigenvalues of the
-symmetric tridiagonal Jacobi matrix of the (monic probabilist) Hermite
-recurrence, with weights given by the squared first eigenvector components.
-The rule of order K integrates polynomials of degree <= 2K-1 exactly; the
-default order for projections is max_total_degree + 2, exact with margin.
+The nodes are the eigenvalues of the symmetric Jacobi matrix of the
+orthonormal Hermite recurrence (numpy's dense ``eigvalsh``), symmetrized about
+0 and refined by one Newton step on H_K.  The weights are the Christoffel
+numbers w_i = 1 / sum_{k<K} H_k(x_i)^2, evaluated by the same recurrence
+(Townsend, Trogdon & Olver, IMA J. Numer. Anal. 36, 2016); unlike squared
+eigenvector components they keep their relative accuracy in the tails, so
+the rule stays accurate up to MAX_ORDER.  No eigenvectors are computed, and
+the module needs numpy only.  The rule of order K integrates polynomials of
+degree <= 2K-1 exactly; the default order for projections is
+max_total_degree + 2, exact with margin.
 
 Functions accept anything "evaluable on the complex plane": an object exposing
 ``.eval(points)`` (such as PolyZZbar) or a plain vectorized callable.
@@ -17,10 +22,10 @@ Functions accept anything "evaluable on the complex plane": an object exposing
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .hermite import basis_indices, basis_values
 from .spectral import SpectralCoeffs
@@ -46,19 +51,36 @@ class QuadratureRule:
         return pts, wts
 
 
+def _hermite_rows(x: np.ndarray, count: int) -> np.ndarray:
+    """Rows H_0(x), ..., H_{count-1}(x) of the orthonormal Hermite polynomials,
+    by the three-term recurrence H_{k+1} = (x H_k - sqrt(k) H_{k-1}) / sqrt(k+1)."""
+    h = np.empty((count, x.size))
+    h[0] = 1.0
+    if count > 1:
+        h[1] = x
+    for k in range(1, count - 1):
+        h[k + 1] = (x * h[k] - math.sqrt(k) * h[k - 1]) / math.sqrt(k + 1)
+    return h
+
+
 def gauss_hermite_rule(order: int) -> QuadratureRule:
-    """Golub-Welsch rule of the given order for the unit-variance Gaussian."""
+    """Gauss rule of the given order for the unit-variance Gaussian.
+
+    Nodes: eigenvalues of the Jacobi matrix, symmetrized, then one Newton step
+    x <- x - H_K(x) / H_K'(x) with H_K' = sqrt(K) H_{K-1}.  Weights: the
+    Christoffel numbers 1 / sum_{k<K} H_k(x)^2 at the refined nodes,
+    symmetrized; they sum to 1 in the probabilist normalization.
+    """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    if order == 1:
-        return QuadratureRule(np.zeros(1), np.ones(1))
-    diag = np.zeros(order)
     offdiag = np.sqrt(np.arange(1.0, order))
-    nodes, vectors = eigh_tridiagonal(diag, offdiag)
-    weights = vectors[0] ** 2  # total mass 1 in the probabilist normalization
-    # Symmetrize: the exact rule is symmetric about 0; averaging the solver
-    # output with its mirror removes asymmetric eigenvalue noise.
+    nodes = np.linalg.eigvalsh(np.diag(offdiag, -1) + np.diag(offdiag, 1))
+    # the exact rule is symmetric about 0; averaging with the mirror removes
+    # asymmetric eigenvalue noise (and the recurrence keeps the symmetry)
     nodes = 0.5 * (nodes - nodes[::-1])
+    h = _hermite_rows(nodes, order + 1)
+    nodes = nodes - h[order] / (math.sqrt(order) * h[order - 1])
+    weights = 1.0 / np.sum(_hermite_rows(nodes, order) ** 2, axis=0)
     weights = 0.5 * (weights + weights[::-1])
     return QuadratureRule(nodes, weights)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermite import complex_hermite
+from .hermite import basis_indices, basis_values
 from .operator import GeneratorParams, adjoint_params, eigenvalue
 from .poly import PolyWWbar
 from .quadrature import QuadratureRule, _eval_at, integrate_gamma
@@ -165,16 +165,13 @@ class ErgodicEnvelope:
 
 def ergodic_envelope(coeffs: SpectralCoeffs, x: complex) -> ErgodicEnvelope:
     """Build the decay envelope at the point x from a basis expansion."""
-    amplitude = 0.0
-    degree = None
-    for (m, n), c in coeffs.terms.items():
-        if (m, n) == (0, 0):
-            continue
-        amplitude += abs(c) * abs(complex_hermite(m, n).eval(x))
-        degree = m + n if degree is None else min(degree, m + n)
-    if degree is None:
+    terms = [(mn, c) for mn, c in coeffs.terms.items() if mn != (0, 0)]
+    if not terms:
         return ErgodicEnvelope(0.0, 0)
-    return ErgodicEnvelope(amplitude, degree)
+    top = max(m + n for (m, n), _ in terms)
+    j_at_x = dict(zip(basis_indices(top), basis_values(top, np.array([x]))[:, 0].tolist()))
+    amplitude = sum(abs(c) * abs(j_at_x[mn]) for mn, c in terms)
+    return ErgodicEnvelope(amplitude, min(m + n for (m, n), _ in terms))
 
 
 def gaussian_rotation_residual(p: PropagatorParams, f: PolyWWbar, rule: QuadratureRule) -> float:

@@ -26,8 +26,9 @@ from complexou import (
     real_hermite,
     synthesize,
 )
-from complexou import hermite
+from complexou import checks, hermite
 from complexou.hermite import MAX_TRANSFORM_DEGREE
+from complexou.spectral import MAX_TOTAL_DEGREE
 
 SQRT2 = math.sqrt(2.0)
 
@@ -304,11 +305,38 @@ class TestBasisGrid:
         )
         assert hermite.basis_indices(max_total) == [mn for mn, _ in dense.items_sorted()]
 
-    def test_rows_are_explicit_basis_values(self):
+    def test_rows_agree_with_explicit_basis_values(self):
+        # the Laguerre rows against the explicit form, where it evaluates
+        # accurately: m + n <= 10 on |z| <= 5, the circle |z| = 5 included
         rng = np.random.default_rng(157)
-        pts = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        rows = hermite.basis_values(6, pts)
-        indices = hermite.basis_indices(6)
+        radius = np.concatenate([5.0 * np.sqrt(rng.random(200)), np.full(40, 5.0), [0.0]])
+        pts = radius * np.exp(2j * np.pi * rng.random(radius.size))
+        rows = hermite.basis_values(10, pts)
+        indices = hermite.basis_indices(10)
         assert rows.shape == (len(indices), pts.size)
         for row, (m, n) in zip(rows, indices):
-            assert row.tobytes() == complex_hermite(m, n).eval(pts).tobytes()
+            assert np.max(np.abs(row - complex_hermite(m, n).eval(pts))) <= 1e-11
+
+    def test_rows_of_swapped_indices_are_conjugates(self):
+        rng = np.random.default_rng(158)
+        pts = 3.0 * (rng.standard_normal(30) + 1j * rng.standard_normal(30))
+        rows = dict(zip(hermite.basis_indices(9), hermite.basis_values(9, pts)))
+        for (m, n), row in rows.items():
+            if m != n:
+                assert rows[(n, m)].tobytes() == np.conjugate(row).tobytes()
+
+    def test_rows_keep_the_point_shape(self):
+        pts = np.array([[0.5 - 1j, 2.0], [0j, -1.5j]])
+        rows = hermite.basis_values(3, pts)
+        assert rows.shape == (10, 2, 2)
+        assert rows.reshape(10, 4).tobytes() == hermite.basis_values(3, pts.ravel()).tobytes()
+
+    def test_gram_at_max_total_degree(self):
+        # the advertised basis limit, on the default rule for it
+        rep = checks.check_orthonormality(MAX_TOTAL_DEGREE, order=MAX_TOTAL_DEGREE + 2)
+        assert rep.passed, rep.max_residual
+
+    @pytest.mark.parametrize("max_total", [-1, MAX_TOTAL_DEGREE + 1])
+    def test_degree_out_of_range(self, max_total):
+        with pytest.raises(ValueError):
+            hermite.basis_values(max_total, np.zeros(3, dtype=complex))

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complexou import PolyWWbar, PolyZZbar, complex_hermite, compose, gauss_hermite_rule
+from complexou import poly as poly_module
 from complexou.poly import MonomialTable, _trim, _wrap
 from complexou.spectral import MAX_TOTAL_DEGREE
 
@@ -199,6 +200,50 @@ class TestEvaluation:
         vec = p.eval(pts)
         for k, w in enumerate(pts):
             assert vec[k] == pytest.approx(p.eval(complex(w)), rel=1e-12, abs=1e-12)
+
+
+class TestBlockedEvaluation:
+    """More than _EVAL_BLOCK points are evaluated block by block, with the
+    bits of one sweep over all of them."""
+
+    B = poly_module._EVAL_BLOCK
+
+    @staticmethod
+    def polys():
+        # dense rows, a sparse basis element, rows with a lone first entry
+        p = float_poly(np.random.default_rng(31), 9)
+        return [p, complex_hermite(7, 4), PolyZZbar({(3, 0): 2.0, (1, 2): -1j, (0, 0): 0.5})]
+
+    @staticmethod
+    def one_sweep(p, w, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(poly_module, "_EVAL_BLOCK", np.iinfo(np.int64).max)
+            return p.eval(w)
+
+    @pytest.mark.parametrize("n_points", [B - 1, B, B + 1, 2 * B + 3])
+    def test_blocks_match_one_sweep(self, n_points, monkeypatch):
+        rng = np.random.default_rng(n_points)
+        w = 2.0 * (rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points))
+        for p in self.polys():
+            got, want = p.eval(w), self.one_sweep(p, w, monkeypatch)
+            assert got.shape == want.shape == (n_points,)
+            assert got.tobytes() == want.tobytes()
+
+    def test_three_dimensional_points(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        shape = (3, self.B // 2 + 5, 2)
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for p in self.polys():
+            got, want = p.eval(w), self.one_sweep(p, w, monkeypatch)
+            assert got.shape == want.shape == shape
+            assert got.tobytes() == want.tobytes()
+            assert got.ravel().tobytes() == p.eval(w.ravel()).tobytes()
+
+    def test_scalar(self, monkeypatch):
+        for p in self.polys():
+            got = p.eval(0.7 - 1.3j)
+            assert type(got) is complex
+            assert got == self.one_sweep(p, 0.7 - 1.3j, monkeypatch)
 
 
 class TestOuterPolynomials:

@@ -17,6 +17,8 @@ from complexou import (
     project,
     synthesize,
 )
+from complexou import hermite
+from complexou.quadrature import MAX_ORDER
 from complexou.spectral import SpectralCoeffs
 
 
@@ -170,14 +172,16 @@ class TestProjection:
 
 
 def loop_project(rule, f, max_total_degree):
-    """project as one basis evaluation and one weighted sum per (m, n)."""
+    """project as one weighted sum per (m, n), each reading its own basis row."""
     pts, wts = rule.tensor_points()
     fw = f.eval(pts) * wts
+    rows = hermite.basis_values(max_total_degree, pts)
     terms = {}
+    k = 0
     for total in range(max_total_degree + 1):
         for m in range(total + 1):
-            basis = complex_hermite(m, total - m).eval(pts)
-            terms[(m, total - m)] = complex(np.sum(fw * np.conjugate(basis)))
+            terms[(m, total - m)] = complex(np.sum(fw * np.conjugate(rows[k])))
+            k += 1
     return SpectralCoeffs(terms)
 
 
@@ -188,6 +192,19 @@ def test_project_matches_per_index_loop_bit_for_bit(degree, max_total, order):
     got, want = project(rule, f, max_total), loop_project(rule, f, max_total)
     assert got._c.shape == want._c.shape
     assert got._c.tobytes() == want._c.tobytes()
+
+
+def test_one_dimensional_gram_at_max_order():
+    # H_0 .. H_{K-1} by their own recurrence; the products reach degree 2K - 2,
+    # within the rule's exactness, so the Gram matrix must be the identity
+    rule = gauss_hermite_rule(MAX_ORDER)
+    x = rule.nodes
+    rows = [np.ones_like(x), x]
+    for k in range(1, MAX_ORDER - 1):
+        rows.append((x * rows[k] - math.sqrt(k) * rows[k - 1]) / math.sqrt(k + 1))
+    h = np.array(rows)
+    gram = (h * rule.weights) @ h.T
+    assert np.max(np.abs(gram - np.eye(MAX_ORDER))) <= 1e-12
 
 
 def test_integrate_accepts_plain_callables():
