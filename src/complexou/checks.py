@@ -133,8 +133,12 @@ def check_orthonormality(max_degree: int = 10, order: int = 12) -> CheckReport:
     rule = gauss_hermite_rule(order)
     pts, wts = rule.tensor_points()
     vals = hermite.basis_values(max_degree, pts)
-    gram = (vals * wts) @ vals.conj().T
-    resid = float(np.max(np.abs(gram - np.eye(len(gram)))))
+    # at most two copies of the basis grid: vals * wts is formed before vals
+    # is conjugated in place, and both are freed before the residual is taken
+    gram = (vals * wts) @ np.conjugate(vals, out=vals).T
+    del vals
+    gram[np.diag_indices_from(gram)] -= 1.0
+    resid = float(np.max(np.abs(gram)))
     return CheckReport.within(
         "orthonormality", resid, 1e-9,
         {"max_degree": max_degree, "order": order, "basis_size": len(gram)},

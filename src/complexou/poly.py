@@ -471,20 +471,18 @@ class PolyZZbar(_Coeffs):
             return 0j if scalar else np.zeros(np.shape(w), dtype=complex)
         wv = np.asarray(w, dtype=complex)
         rows = c[::-1].tolist()
-        if wv.size <= _EVAL_BLOCK:
-            acc = _horner(rows, wv, np.conjugate(wv), np.empty_like(wv), np.empty_like(wv))
-            return complex(acc) if scalar else acc
         flat = wv.ravel()
         out = np.empty(flat.size, dtype=complex)
-        wbar = np.empty(_EVAL_BLOCK, dtype=complex)
-        inner = np.empty(_EVAL_BLOCK, dtype=complex)
-        n_blocks = -(-flat.size // _EVAL_BLOCK)
+        n_blocks = max(1, -(-flat.size // _EVAL_BLOCK))
+        size = -(-flat.size // n_blocks)
+        wbar = np.empty(size, dtype=complex)
+        inner = np.empty(size, dtype=complex)
         bounds = [flat.size * i // n_blocks for i in range(n_blocks + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             n = hi - lo
             block = flat[lo:hi]
             _horner(rows, block, np.conjugate(block, out=wbar[:n]), out[lo:hi], inner[:n])
-        return out.reshape(wv.shape)
+        return complex(out[0]) if scalar else out.reshape(wv.shape)
 
     # -- utilities ----------------------------------------------------------
 

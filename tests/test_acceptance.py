@@ -11,8 +11,7 @@ from complexou import checks
 
 def _report(number, label, reports, elapsed, limit=None):
     passed = all(r.passed for r in reports)
-    residuals = [r.max_residual for r in reports if r.max_residual is not None]
-    worst = max(residuals) if residuals else 0.0
+    worst = max(r.max_residual for r in reports)
     status = "PASS" if passed else "FAIL"
     budget = f", limit {limit:.0f}s" if limit is not None else ""
     print(

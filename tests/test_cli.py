@@ -718,18 +718,21 @@ class TestVerifyAll:
         assert "PASS" in err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is imported by the one stationarity test that uses it, so a
-    # command that does not test stationarity does not pay for loading it; the
-    # quadrature rule needs numpy only, so no scipy module loads at all
+def test_stationarity_command_loads_no_scipy():
+    # numpy is the only runtime dependency: a fresh process that runs the
+    # stationarity suite, whose KS statistic is computed in numpy, loads no
+    # scipy module at all
     src = str(Path(complexou.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
-        "import sys, complexou.cli; print('scipy.stats' in sys.modules, "
-        "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys; from complexou.cli import main; "
+        "code = main(['sde', 'stationarity', '--theta', '0.5', '--paths', '2000']); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False []"
+    envelope, loaded = out.stdout.strip().splitlines()
+    assert json.loads(envelope)["command"] == "sde stationarity"
+    assert loaded == "0 []"

@@ -1,8 +1,9 @@
 """Exact and Euler path simulation: bit-level reproducibility, transition
 moments, Monte Carlo semigroup estimates against quadrature, stationarity of
-the long-time law, first-order weak convergence of the Euler scheme, the
-samplers against plain reference loops bit for bit, the time-major layout,
-and the byte-level replay check of ``check_sde_moments``.
+the long-time law and its Kolmogorov-Smirnov statistic against scipy's,
+first-order weak convergence of the Euler scheme, the samplers against plain
+reference loops bit for bit, the time-major layout, and the byte-level replay
+check of ``check_sde_moments``.
 """
 
 import cmath
@@ -204,6 +205,29 @@ class TestStationarity:
         t_burn = 6.0 * math.log(10.0) / math.cos(0.5)
         report = stationarity_check(GeneratorParams(0.5), 2000, t_burn, SEED + 21)
         assert report.t_burn == pytest.approx(t_burn)
+
+
+class TestKsNormal:
+    """sde._ks_normal is the two-sided statistic of scipy.stats.kstest against
+    "norm", the reference the test extra installs."""
+
+    def test_matches_scipy(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(SEED + 22)
+        # N(0,1) samples, where D is small, and shifted or scaled ones, where
+        # it is large, at sizes spread evenly in log from 2 to 200000
+        shapes = [(0.0, 1.0), (0.5, 1.0), (0.0, 2.0), (-3.0, 0.5)]
+        sizes = np.geomspace(2, 200_000, 200).round().astype(int)
+        worst = 0.0
+        for i, n in enumerate(sizes):
+            loc, scale = shapes[i % len(shapes)]
+            x = loc + scale * rng.standard_normal(n)
+            got = sde._ks_normal(x)
+            assert type(got) is float
+            worst = max(worst, abs(got - stats.kstest(x, "norm").statistic))
+        assert sizes[0] == 2 and sizes[-1] == 200_000
+        assert worst <= 1e-15
 
 
 class TestEulerWeakConvergence:
