@@ -18,13 +18,11 @@ from .operator import (
     carre_du_champ,
     carre_du_champ_via_generator,
     chain_rule_sides,
-    diffusion_chain_rule_residual,
     domain_seminorm_sq,
     eigenvalue,
 )
 from .hermite import (
     BasisTransform,
-    RealHermite,
     build_basis_transform,
     complex_hermite,
     complex_hermite_via_creation,
@@ -55,7 +53,6 @@ from .sde import (
     sample_euler,
     sample_exact,
     stationarity_check,
-    transition_factors,
 )
 from .semigroup import (
     ErgodicEnvelope,
@@ -84,7 +81,6 @@ __all__ = [
     "PolyZZbar",
     "PropagatorParams",
     "QuadratureRule",
-    "RealHermite",
     "SimConfig",
     "SpectralCoeffs",
     "StationarityReport",
@@ -103,7 +99,6 @@ __all__ = [
     "creation_z",
     "creation_zbar",
     "default_rule",
-    "diffusion_chain_rule_residual",
     "domain_seminorm_sq",
     "eigenvalue",
     "ergodic_envelope",
@@ -129,5 +124,4 @@ __all__ = [
     "semigroup_spectral",
     "stationarity_check",
     "synthesize",
-    "transition_factors",
 ]

@@ -28,7 +28,7 @@ from .operator import (
     eigenvalue,
 )
 from .poly import PolyZZbar, PolyWWbar
-from .quadrature import default_rule, gauss_hermite_rule, integrate_gamma
+from .quadrature import QuadratureRule, default_rule, gauss_hermite_rule, integrate_gamma
 from .semigroup import (
     PropagatorParams,
     adjoint_semigroup,
@@ -54,6 +54,12 @@ THETA_SAFE = (0.0, math.pi / 6, -math.pi / 6, math.pi / 4, -math.pi / 4, math.pi
 T_GRID = (0.1, 1.0, 3.0)
 
 DEFAULT_SEED = 20260815
+
+# Tolerances that the matching CLI commands (hermite transform, operator gamma,
+# sde stationarity) also take as their default --tol.
+TRANSFORM_TOL = 1e-10
+GAMMA_TOL = 1e-10
+STATIONARITY_TOL = 1.0
 
 
 @dataclass(frozen=True)
@@ -128,9 +134,9 @@ def random_points(rng: np.random.Generator, n: int) -> np.ndarray:
 # -- hermite / quadrature suites ----------------------------------------------
 
 
-def check_orthonormality(max_degree: int = 10, order: int = 12) -> CheckReport:
-    """Gram matrix of {J[m,n] : m+n <= max_degree} vs the identity."""
-    rule = gauss_hermite_rule(order)
+def _gram_residual(max_degree: int, rule: QuadratureRule) -> tuple[float, int]:
+    """Worst entry of the Gram matrix of {J[m,n] : m+n <= max_degree} under
+    the tensor rule minus the identity, and the basis size."""
     pts, wts = rule.tensor_points()
     vals = hermite.basis_values(max_degree, pts)
     # at most two copies of the basis grid: vals * wts is formed before vals
@@ -138,10 +144,15 @@ def check_orthonormality(max_degree: int = 10, order: int = 12) -> CheckReport:
     gram = (vals * wts) @ np.conjugate(vals, out=vals).T
     del vals
     gram[np.diag_indices_from(gram)] -= 1.0
-    resid = float(np.max(np.abs(gram)))
+    return float(np.max(np.abs(gram))), len(gram)
+
+
+def check_orthonormality(max_degree: int = 10, order: int = 12) -> CheckReport:
+    """Gram matrix of {J[m,n] : m+n <= max_degree} vs the identity."""
+    resid, size = _gram_residual(max_degree, gauss_hermite_rule(order))
     return CheckReport.within(
         "orthonormality", resid, 1e-9,
-        {"max_degree": max_degree, "order": order, "basis_size": len(gram)},
+        {"max_degree": max_degree, "order": order, "basis_size": size},
     )
 
 
@@ -169,7 +180,7 @@ def check_transform(max_degree: int = 16) -> CheckReport:
     worst = 0.0
     for level in range(max_degree + 1):
         worst = max(worst, hermite.build_basis_transform(level).residual())
-    return CheckReport.within("basis-transform", worst, 1e-10, {"max_degree": max_degree})
+    return CheckReport.within("basis-transform", worst, TRANSFORM_TOL, {"max_degree": max_degree})
 
 
 def check_construction(max_total: int = 12) -> CheckReport:
@@ -204,8 +215,7 @@ def check_quadrature(order: int = 12) -> CheckReport:
     # planar 18th moment E|z|^18 = 2^9 * 9!  (|z|^2 / 2 is a unit exponential).
     m18c = integrate_gamma(rule, PolyZZbar({(9, 9): 1.0}))
     resids["moment_z18"] = abs(m18c - 2.0**9 * math.factorial(9)) / (2.0**9 * math.factorial(9))
-    small = check_orthonormality(max_degree=4, order=order)
-    resids["gram_deg4"] = small.max_residual
+    resids["gram_deg4"] = _gram_residual(4, rule)[0]
     worst = max(resids.values())
     return CheckReport.within("quadrature-selftest", worst, 1e-10, {"order": order, **resids})
 
@@ -262,9 +272,9 @@ def check_gamma(
     positive = min_real >= -1e-12
     return CheckReport(
         name="carre-du-champ",
-        passed=(worst <= 1e-10) and positive,
+        passed=(worst <= GAMMA_TOL) and positive,
         max_residual=worst,
-        tol=1e-10,
+        tol=GAMMA_TOL,
         details={
             "n_pairs": n_pairs,
             "max_degree": max_degree,
@@ -555,7 +565,7 @@ def check_stationarity(
     """
     rep = sde.stationarity_check(GeneratorParams(theta), n_paths, None, seed)
     return CheckReport.within(
-        "sde-stationarity", rep.max_ratio, 1.0,
+        "sde-stationarity", rep.max_ratio, STATIONARITY_TOL,
         {
             "theta": theta,
             "n_paths": n_paths,

@@ -45,8 +45,8 @@ def _json_text(obj) -> str:
         raise ValueError("the result is not finite; nothing written") from None
 
 
-def _envelope(command, inputs, results, *, max_residual=None, tol=None, seed=None, passed=None):
-    env = {"command": command, "inputs": inputs, "results": results}
+def _envelope(cmd, inputs, results, *, max_residual=None, tol=None, seed=None, passed=None):
+    env = {"command": " ".join(cmd.words), "inputs": inputs, "results": results}
     if max_residual is not None:
         env["max_residual"] = float(max_residual)
         if passed is None:
@@ -66,7 +66,7 @@ def _cmd_suite(cmd, args) -> dict:
     tol = report.tol if args.tol is None else args.tol
     dests = [flag[2:].replace("-", "_") for flag, _ in cmd.options]
     return _envelope(
-        " ".join(cmd.words),
+        cmd,
         {**{dest: getattr(args, dest) for dest in dests}, "tol": tol},
         {**report.details, "suite": report.name},
         max_residual=report.max_residual,
@@ -86,23 +86,23 @@ def _matrix_obj(mat: np.ndarray) -> list:
 # -- hermite -------------------------------------------------------------------
 
 
-def _cmd_hermite_show(args) -> dict:
+def _cmd_hermite_show(cmd, args) -> dict:
     if args.route == "creation":
         poly = hermite.complex_hermite_via_creation(args.m, args.n)
     else:
         poly = hermite.complex_hermite(args.m, args.n)
     return _envelope(
-        "hermite show",
+        cmd,
         {"m": args.m, "n": args.n, "route": args.route},
         {"poly": poly.to_json_obj()},
     )
 
 
-def _cmd_hermite_transform(args) -> dict:
+def _cmd_hermite_transform(cmd, args) -> dict:
     tr = hermite.build_basis_transform(args.degree)
-    tol = 1e-10 if args.tol is None else args.tol
+    tol = checks.TRANSFORM_TOL if args.tol is None else args.tol
     return _envelope(
-        "hermite transform",
+        cmd,
         {"degree": args.degree, "tol": tol},
         {"forward": _matrix_obj(tr.forward), "inverse": _matrix_obj(tr.inverse)},
         max_residual=tr.residual(),
@@ -113,24 +113,24 @@ def _cmd_hermite_transform(args) -> dict:
 # -- operator ------------------------------------------------------------------
 
 
-def _cmd_operator_eigen(args) -> dict:
+def _cmd_operator_eigen(cmd, args) -> dict:
     lam = eigenvalue(GeneratorParams(args.theta), args.m, args.n)
     return _envelope(
-        "operator eigen",
+        cmd,
         {"theta": args.theta, "m": args.m, "n": args.n},
         {"lambda": _complex_obj(lam), "abs": abs(lam)},
     )
 
 
-def _cmd_operator_gamma(args) -> dict:
+def _cmd_operator_gamma(cmd, args) -> dict:
     phi = parse_poly(args.phi)
     psi = parse_poly(args.psi if args.psi is not None else args.phi)
     direct = carre_du_champ(phi, psi)
     via_gen = carre_du_champ_via_generator(GeneratorParams(args.theta), phi, psi)
     residual = (direct - via_gen).max_abs_coeff()
-    tol = 1e-10 if args.tol is None else args.tol
+    tol = checks.GAMMA_TOL if args.tol is None else args.tol
     return _envelope(
-        "operator gamma",
+        cmd,
         {"phi": args.phi, "psi": args.psi, "theta": args.theta, "tol": tol},
         {"gamma": direct.to_json_obj(), "generator_route_residual": residual},
         max_residual=residual,
@@ -152,7 +152,7 @@ def _read_coeffs(path: str) -> tuple[SpectralCoeffs, float | None]:
     return SpectralCoeffs.from_json_obj(obj)
 
 
-def _cmd_semigroup_apply(args) -> dict:
+def _cmd_semigroup_apply(cmd, args) -> dict:
     coeffs, file_theta = _read_coeffs(args.input)
     theta = args.theta if args.theta is not None else file_theta
     if theta is None:
@@ -160,7 +160,7 @@ def _cmd_semigroup_apply(args) -> dict:
     p = PropagatorParams(GeneratorParams(theta), args.t)
     out = semigroup_spectral(p, coeffs)
     return _envelope(
-        "semigroup apply",
+        cmd,
         {"theta": theta, "t": args.t, "input": args.input},
         {"coeffs": out.to_json_obj(theta)},
     )
@@ -198,7 +198,7 @@ def _write_csv(path: str, ensemble: sde.PathEnsemble) -> None:
             )
 
 
-def _cmd_sde_simulate(args) -> dict:
+def _cmd_sde_simulate(cmd, args) -> dict:
     params = GeneratorParams(args.theta)
     x0 = complex(args.x0_re, args.x0_im)
     config = sde.SimConfig(
@@ -231,7 +231,7 @@ def _cmd_sde_simulate(args) -> dict:
         _json_text(moments)  # no CSV for a run whose envelope cannot be written
         _write_csv(args.csv, ensemble)
     return _envelope(
-        "sde simulate",
+        cmd,
         {
             "theta": args.theta,
             "x0": _complex_obj(x0),
@@ -245,11 +245,11 @@ def _cmd_sde_simulate(args) -> dict:
     )
 
 
-def _cmd_sde_stationarity(args) -> dict:
+def _cmd_sde_stationarity(cmd, args) -> dict:
     rep = sde.stationarity_check(GeneratorParams(args.theta), args.paths, args.t_burn, args.seed)
-    tol = 1.0 if args.tol is None else args.tol
+    tol = checks.STATIONARITY_TOL if args.tol is None else args.tol
     return _envelope(
-        "sde stationarity",
+        cmd,
         {"theta": args.theta, "paths": args.paths, "t_burn": rep.t_burn, "tol": tol},
         {
             key: _complex_obj(value) if isinstance(value, complex) else value
@@ -265,10 +265,10 @@ def _cmd_sde_stationarity(args) -> dict:
 # -- verify-all -------------------------------------------------------------------
 
 
-def _cmd_verify_all(args) -> dict:
+def _cmd_verify_all(cmd, args) -> dict:
     reports = checks.run_all(seed=args.seed, n_paths=args.paths)
     return _envelope(
-        "verify-all",
+        cmd,
         {"paths": args.paths},
         {"suites": [r.to_json_obj() for r in reports]},
         seed=args.seed,
@@ -306,9 +306,9 @@ _count = _int_at_least(1, "positive integer")
 
 class Command(NamedTuple):
     """One command: its words, help, own options ((flag, add_argument keywords)
-    in order; --pretty, then --tol and --seed if taken, follow) and handler.
-    A suite command gives ``run`` (args -> CheckReport) and is handled as
-    ``handler(cmd, args)``; any other command as ``handler(args)``."""
+    in order; --pretty, then --tol and --seed if taken, follow) and handler,
+    called as ``handler(cmd, args)``.  A suite command gives ``run``
+    (args -> CheckReport), which the default handler reports."""
 
     words: tuple[str, ...]
     help: str
@@ -438,7 +438,7 @@ def _build_parser(words=None) -> argparse.ArgumentParser | None:
             p.add_argument("--tol", type=_finite_float, default=None, help="override the pass tolerance")
         if cmd.seed:
             p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED, help="RNG seed")
-        p.set_defaults(handler=cmd.handler if cmd.run is None else partial(cmd.handler, cmd))
+        p.set_defaults(handler=partial(cmd.handler, cmd))
     return parser if top.choices else None
 
 
@@ -476,7 +476,7 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             env = args.handler(args)
         text = _json_text(env)
-    except (ExprError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ExprError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

@@ -61,20 +61,6 @@ MAX_TRANSFORM_DEGREE = 64
 
 
 @dataclass(frozen=True)
-class RealHermite:
-    """Orthonormal probabilist Hermite polynomial of degree n.
-
-    ``coeffs`` holds ascending power coefficients; coeffs[n] == 1/sqrt(n!).
-    """
-
-    n: int
-    coeffs: np.ndarray
-
-    def eval(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
-
-
-@dataclass(frozen=True)
 class BasisTransform:
     """Degree-l change of basis between {H_k(x)H_{l-k}(y)} and {J[m, l-m]}.
 
@@ -98,13 +84,15 @@ class BasisTransform:
         )
 
 
-def real_hermite(n: int) -> RealHermite:
-    """Orthonormal real Hermite polynomial H_n by the three-term recurrence."""
+def real_hermite(n: int) -> np.ndarray:
+    """Ascending power coefficients of the orthonormal real Hermite polynomial
+    H_n, by the three-term recurrence; entry n is 1/sqrt(n!).  Evaluate it with
+    ``np.polynomial.polynomial.polyval(x, real_hermite(n))``."""
     if not 0 <= n <= MAX_TOTAL_DEGREE:
         raise ValueError(f"n must be in [0, {MAX_TOTAL_DEGREE}], got {n}")
     prev = np.array([1.0])  # H_0
     if n == 0:
-        return RealHermite(0, prev)
+        return prev
     cur = np.array([0.0, 1.0])  # H_1 = x
     for k in range(1, n):
         nxt = np.zeros(k + 2)
@@ -112,7 +100,7 @@ def real_hermite(n: int) -> RealHermite:
         nxt[: k] -= math.sqrt(k) * prev
         nxt /= math.sqrt(k + 1)
         prev, cur = cur, nxt
-    return RealHermite(n, cur)
+    return cur
 
 
 def hermite_product_poly(kx: int, ky: int) -> PolyZZbar:
@@ -130,7 +118,7 @@ def hermite_product_poly(kx: int, ky: int) -> PolyZZbar:
             acc = acc * arg + complex(c)
         return acc
 
-    return horner(real_hermite(kx).coeffs, x) * horner(real_hermite(ky).coeffs, y)
+    return horner(real_hermite(kx), x) * horner(real_hermite(ky), y)
 
 
 def creation_z(p: PolyZZbar) -> PolyZZbar:

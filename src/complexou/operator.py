@@ -186,14 +186,3 @@ def chain_rule_sides(
             if fzb:
                 rhs = rhs + 2.0 * cos_t * carre_du_champ(phis[i], phis[j]) * table.compose(fzb)
     return lhs, rhs
-
-
-def diffusion_chain_rule_residual(
-    params: GeneratorParams, outer: PolyWWbar, phis: Sequence[PolyZZbar] | PolyZZbar
-) -> float:
-    """Max coefficient magnitude of (LHS - RHS) of the chain rule.
-
-    The caller's acceptance scale is 1 + max |coeff| of the left side.
-    """
-    lhs, rhs = chain_rule_sides(params, outer, phis)
-    return (lhs - rhs).max_abs_coeff()

@@ -11,7 +11,7 @@ Conventions baked into the representation:
 - canonical form: the array is trimmed so that its last row and last column
   each hold a nonzero entry, and the zero polynomial has shape (0, 0); so
   ``p == q`` compares shapes and entries exactly, and arithmetic never
-  epsilon-prunes (use :meth:`PolyZZbar.prune` for display),
+  epsilon-prunes,
 - absent terms are stored as +0: negation, conjugation and scalar products act
   on the nonzero entries only, and a sum keeps a term of the left operand that
   the right one lacks unchanged, so signed zeros in the printed coefficients
@@ -483,12 +483,6 @@ class PolyZZbar(_Coeffs):
             block = flat[lo:hi]
             _horner(rows, block, np.conjugate(block, out=wbar[:n]), out[lo:hi], inner[:n])
         return complex(out[0]) if scalar else out.reshape(wv.shape)
-
-    # -- utilities ----------------------------------------------------------
-
-    def prune(self, eps: float) -> "PolyZZbar":
-        """Drop terms with |coeff| <= eps (display helper, not used in algebra)."""
-        return _wrap(PolyZZbar, _trim(np.where(np.abs(self._c) > eps, self._c, 0)))
 
 
 # the monomials z and zbar, built once for the operators that multiply by them

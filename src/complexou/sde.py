@@ -123,16 +123,6 @@ def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((n, 2)).view(complex)[:, 0]
 
 
-def transition_factors(params: GeneratorParams, delta: float) -> tuple[complex, float]:
-    """(decay, noise_std) of the exact transition over a time gap delta.
-
-    Shared with the semigroup so sampler and Mehler integral use identical
-    constants.
-    """
-    p = PropagatorParams(params, delta)
-    return p.decay, p.noise_std
-
-
 def _advance(z, factor, src, amp, noise, kick) -> None:
     """z = factor * src + amp * noise, each product with the scalar first; kick
     holds amp * noise (it may be noise itself)."""
@@ -162,25 +152,24 @@ def _sample(config: SimConfig, gaps) -> PathEnsemble:
 
 
 def sample_exact(config: SimConfig) -> PathEnsemble:
-    """Draw paths from the exact conditional law over each grid increment."""
+    """Draw paths from the exact conditional law over each grid increment,
+    with the decay and noise constants of the semigroup's
+    :class:`~.semigroup.PropagatorParams`, so sampler and Mehler integral
+    agree."""
     if config.scheme != "exact":
         raise ValueError("config.scheme must be 'exact'")
     grid = config.t_grid
-    return _sample(
-        config, [(1, *transition_factors(config.params, b - a)) for a, b in zip(grid, grid[1:])]
-    )
+    props = [PropagatorParams(config.params, b - a) for a, b in zip(grid, grid[1:])]
+    return _sample(config, [(1, p.decay, p.noise_std) for p in props])
 
 
-def sample_euler(config: SimConfig, noise_factor: float = 1.0) -> PathEnsemble:
-    """Explicit Euler stepping at resolution dt, recorded on the grid.
-
-    noise_factor scales the diffusion term; 0.0 reduces the scheme to the
-    deterministic drift ODE (a convergence test hook), 1.0 is the SDE.
-    """
+def sample_euler(config: SimConfig) -> PathEnsemble:
+    """Explicit Euler stepping of the SDE at resolution dt, recorded on the
+    grid: z <- (1 - e^{i theta} dt) z + sqrt(2 cos(theta) dt) W."""
     if config.scheme != "euler":
         raise ValueError("config.scheme must be 'euler'")
     drift_step = 1.0 - config.params.drift * config.dt
-    amp = noise_factor * math.sqrt(2.0 * config.params.cos_theta * config.dt)
+    amp = math.sqrt(2.0 * config.params.cos_theta * config.dt)
     return _sample(config, [(steps, drift_step, amp) for steps in config.steps_per_gap()])
 
 

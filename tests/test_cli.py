@@ -331,6 +331,14 @@ class TestExitCodes:
         assert out == ""
         assert f"error: argument {flag}: not a non-negative integer" in err
 
+    def test_eigen_index_too_large_for_a_float(self, capsys):
+        code, out, err = run_cli(
+            capsys, "operator", "eigen", "--theta", "0.3", "--m", "9" * 400, "--n", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_domain_error_from_bad_angle(self, capsys):
         code, _, err = run_cli(capsys, "operator", "eigen", "--theta", "2.0", "--m", "1", "--n", "0")
         assert code == 2
@@ -636,6 +644,25 @@ class TestSuiteOptions:
         assert parse_envelope(out) == expected
         # the same keys in the same order at every level
         assert out.strip() == json.dumps(expected, separators=(",", ":"))
+
+
+class TestDefaultTolerances:
+    # a command without --tol judges its residual against the tol of the
+    # report of its matching suite
+    CASES = [
+        (("hermite", "transform", "--degree", "2"), lambda: checks.check_transform(max_degree=2)),
+        (("operator", "gamma", "--phi", "z*zbar"), lambda: checks.check_gamma(n_pairs=1, n_points=1)),
+        (
+            ("sde", "stationarity", "--theta", "0.5", "--paths", "2000"),
+            lambda: checks.check_stationarity(n_paths=2000),
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, suite", CASES, ids=[" ".join(c[0][:2]) for c in CASES])
+    def test_default_tol_is_the_suite_tol(self, capsys, argv, suite):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert parse_envelope(out)["inputs"]["tol"] == suite().tol
 
 
 class TestBranchParser:

@@ -378,12 +378,6 @@ def test_repr_mentions_terms():
     assert repr(PolyZZbar.zero()) == "PolyZZbar(0)"
 
 
-def test_prune_drops_small_terms_only():
-    p = PolyZZbar({(1, 0): 1.0, (0, 1): 1e-14})
-    assert p.prune(1e-12) == Z
-    assert (1, 1) not in p.prune(0.0).terms
-
-
 # -- property tests of the dense coefficient kernel ----------------------------
 
 # Deterministic example generation and no example database, so every run of
