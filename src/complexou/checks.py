@@ -497,6 +497,29 @@ def check_rotation_invariance(
 # -- sde suites -----------------------------------------------------------------
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and every bit of two complex arrays equal, signed zeros
+    included: their real and imaginary parts are compared as uint64 views,
+    which copy nothing whatever the layout."""
+    return a.shape == b.shape and all(
+        np.array_equal(p.view(np.uint64), q.view(np.uint64))
+        for p, q in ((a.real, b.real), (a.imag, b.imag))
+    )
+
+
+def _moment_deviations(z: np.ndarray, p: PropagatorParams, x0: complex) -> tuple[float, float]:
+    """Deviations of the sample mean and variance of z from the transition
+    law of p started at x0, each in standard errors."""
+    n = z.size
+    mean_se = math.sqrt(2.0 * (1.0 - abs(p.decay) ** 2) / n)
+    mean_dev = abs(complex(z.mean()) - p.decay * x0) / mean_se
+
+    dev_sq = np.abs(z - z.mean()) ** 2
+    var_hat = float(dev_sq.sum()) / (n - 1)
+    var_se = sde._real_mean_and_se(dev_sq)[1]
+    return mean_dev, abs(var_hat - 2.0 * p.noise_std**2) / var_se
+
+
 def check_sde_moments(
     n_paths: int = 200000,
     ts: tuple[float, ...] = (0.5, 2.0),
@@ -524,23 +547,13 @@ def check_sde_moments(
             n_paths=n_paths,
             seed=seed + i,
         )
-        ens = sde.sample_exact(config)
+        states = sde.sample_exact(config).states
         if i == 0:
-            replay = sde.sample_exact(config)
-            # every byte of both ensembles; the transpose is the samplers'
-            # contiguous time-major buffer, so each copy is one memcpy
-            repro = ens.states.T.tobytes() == replay.states.T.tobytes()
+            # the replay is freed once compared
+            repro = _same_bits(states, sde.sample_exact(config).states)
         for k, t in enumerate(ts, start=1):
-            z = ens.states[:, k]
-            p = PropagatorParams(params, t)
-            mean_se = math.sqrt(2.0 * (1.0 - abs(p.decay) ** 2) / n_paths)
-            mean_dev = abs(complex(z.mean()) - p.decay * x0) / mean_se
-
-            dev_sq = np.abs(z - z.mean()) ** 2
-            var_hat = float(dev_sq.sum()) / (n_paths - 1)
-            var_se = sde._real_mean_and_se(dev_sq)[1]
-            var_dev = abs(var_hat - 2.0 * p.noise_std**2) / var_se
-            worst = max(worst, mean_dev, var_dev)
+            worst = max(worst, *_moment_deviations(states[:, k], PropagatorParams(params, t), x0))
+        del states  # before the next theta's ensemble is drawn
     return CheckReport(
         name="sde-moments",
         passed=(worst <= 4.0) and repro,

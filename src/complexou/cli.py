@@ -3,9 +3,9 @@
 Output contract: one JSON report envelope on stdout per invocation
 ({command, inputs, results, max_residual?, pass, version, seed?}); anything
 human-readable goes to stderr (enable with --pretty).  Exit codes: 0 pass,
-1 verification failure, 2 usage error (a float argument must be finite) or a
+1 verification failure, 2 usage error (a float argument must be finite), a
 non-finite result (an envelope holding an infinity or a NaN is not JSON, so
-none is written, and neither is a CSV).
+none is written, and neither is a CSV) or a request too large to allocate.
 
 Polynomial arguments (--phi/--psi) use the little expression grammar from
 :mod:`.expr`: tokens z, zbar, i, numbers, + - * ^ ( ), e.g. "z*zbar - 2" or
@@ -476,7 +476,9 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             env = args.handler(args)
         text = _json_text(env)
-    except (ExprError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    except (
+        ExprError, ValueError, OverflowError, MemoryError, OSError, json.JSONDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

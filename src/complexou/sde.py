@@ -16,9 +16,11 @@ Two samplers over a common recording grid:
   kept as a demonstration of the SDE form (weak order 1), not for accuracy.
 
 Randomness comes from a counter-based Philox stream keyed by the seed; draws
-are issued in a fixed vectorized order (one (n_paths, 2) block per time step),
-so identical configs give bit-identical ensembles and distinct seeds give
-independent streams.
+are issued in a fixed vectorized order: each time step draws its paths'
+normals block by block in path order (:data:`_STEP_BLOCK` paths at most),
+which is the same stream as one (n_paths, 2) draw per step.  So identical
+configs give bit-identical ensembles and distinct seeds give independent
+streams.
 
 Ensembles are stored time-major: both samplers fill one (T, n_paths) buffer
 row by row in one step loop (:func:`_sample`), each row from the previous, and
@@ -42,6 +44,9 @@ SCHEMES = ("exact", "euler")
 
 # KS acceptance threshold at the 1% level is 1.63/sqrt(n).
 KS_COEFF = 1.63
+
+# Points per slice that _ks_normal maps math.erfc over (one Python float each).
+_KS_SLICE = 8192
 
 
 @dataclass(frozen=True)
@@ -131,21 +136,37 @@ def _advance(z, factor, src, amp, noise, kick) -> None:
     z += kick
 
 
+# Most paths per block of a sampler step.  Each block draws its own normals,
+# so a step's scratch is one block's (at most 256 KiB) rather than the whole
+# width's.  The paths are split evenly, as in PolyZZbar.eval, so no block is
+# shorter than half of this: numpy runs a one-element array through another
+# loop.
+_STEP_BLOCK = 16384
+
+
 def _sample(config: SimConfig, gaps) -> PathEnsemble:
     """Fill the time-major buffer from one (steps, factor, amp) per grid gap,
     then freeze it and wrap its (n_paths, T) transpose.
 
     Row 0 is x0.  Each step draws W and sets z = factor * z + amp * W; a gap's
     first step reads row k - 1 and writes row k, the rest step row k in place.
+    A step goes through its path blocks in path order, each drawing its own
+    normals, which consumes the Philox stream exactly as one (n_paths, 2)
+    draw, so the ensemble is the same bits for any blocking.
     """
     rng = _rng(config.seed)
-    states = np.empty((len(config.t_grid), config.n_paths), dtype=complex)
+    n = config.n_paths
+    states = np.empty((len(config.t_grid), n), dtype=complex)
     states[0] = config.x0
+    n_blocks = -(-n // _STEP_BLOCK)
+    bounds = [n * i // n_blocks for i in range(n_blocks + 1)]
+    blocks = list(zip(bounds, bounds[1:]))
     for k, (steps, factor, amp) in enumerate(gaps, start=1):
         z, src = states[k], states[k - 1]
         for _ in range(steps):
-            w = _complex_normals(rng, config.n_paths)
-            _advance(z, factor, src, amp, w, w)
+            for lo, hi in blocks:
+                w = _complex_normals(rng, hi - lo)
+                _advance(z[lo:hi], factor, src[lo:hi], amp, w, w)
             src = z
     states.setflags(write=False)
     return PathEnsemble(config, states.T)
@@ -213,11 +234,18 @@ def _ks_normal(x: np.ndarray) -> float:
     With x sorted and Phi(x) = erfc(-x / sqrt(2)) / 2, it is the larger of
     max(i/n - Phi(x_i)) and max(Phi(x_i) - (i-1)/n) over i = 1..n: the widest
     gap between Phi and the empirical CDF on either side of each step.
-    numpy has no erfc, so math.erfc is mapped over the sorted sample.
+    numpy has no erfc, so math.erfc is mapped over the sorted sample, one
+    slice of :data:`_KS_SLICE` points at a time into one array, so no Python
+    float per point is alive at once.
     """
-    xs = np.sort(x)
-    n = xs.size
-    cdf = 0.5 * np.fromiter(map(math.erfc, (-xs / math.sqrt(2.0)).tolist()), float, n)
+    u = np.sort(x)
+    n = u.size
+    u /= -math.sqrt(2.0)  # -x / sqrt(2) to the bit, sign moved to the divisor
+    cdf = np.empty(n)
+    for lo in range(0, n, _KS_SLICE):
+        part = u[lo:lo + _KS_SLICE]
+        cdf[lo:lo + part.size] = np.fromiter(map(math.erfc, part.tolist()), float, part.size)
+    cdf *= 0.5
     steps = np.arange(n + 1) / n
     return float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
 

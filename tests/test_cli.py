@@ -423,6 +423,28 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("sde", "simulate", "--theta", "0", "--t", "1", "--paths", "100"),
+            ("sde", "stationarity", "--theta", "0.3", "--paths", "100"),
+            ("verify-all", "--paths", "100"),
+        ],
+    )
+    def test_allocation_failure_is_usage_error(self, capsys, monkeypatch, argv):
+        # a --paths too large to allocate: the sampler's MemoryError is raised
+        # here directly, since a huge request could be reserved by an
+        # overcommitting host and then touched page by page
+        def sample(config):
+            raise MemoryError(f"Unable to allocate an ensemble of {config.n_paths} paths")
+
+        monkeypatch.setattr(sde, "sample_exact", sample)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Unable to allocate")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("operator", "gamma", "--phi", "z", "--tol", "inf"),
             ("operator", "gamma", "--phi", "z", "--theta=-inf"),
             ("sde", "simulate", "--theta", "0.3", "--x0-re", "nan", "--t", "1", "--paths", "4"),

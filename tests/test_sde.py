@@ -2,12 +2,15 @@
 moments, Monte Carlo semigroup estimates against quadrature, stationarity of
 the long-time law and its Kolmogorov-Smirnov statistic against scipy's,
 first-order weak convergence of the Euler scheme, the samplers against plain
-reference loops bit for bit, the time-major layout, and the byte-level replay
-check of ``check_sde_moments``.
+reference loops bit for bit (across path blocks too), the time-major layout,
+the byte-level replay check of ``check_sde_moments``, and the memory the Monte
+Carlo layer holds, traced with tracemalloc.
 """
 
 import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +216,17 @@ class TestKsNormal:
         assert sizes[0] == 2 and sizes[-1] == 200_000
         assert worst <= 1e-15
 
+    def test_slices_match_one_sweep(self):
+        # erfc is mapped slice by slice; the statistic is that of one sweep
+        x = np.random.default_rng(SEED + 23).standard_normal(3 * sde._KS_SLICE + 1)
+        xs = np.sort(x)
+        n = xs.size
+        cdf = 0.5 * np.fromiter(map(math.erfc, (-xs / math.sqrt(2.0)).tolist()), float, n)
+        steps = np.arange(n + 1) / n
+        assert sde._ks_normal(x) == float(
+            max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1]))
+        )
+
 
 class TestEulerWeakConvergence:
     def test_error_halves_with_dt(self):
@@ -348,6 +362,30 @@ class TestSamplersMatchReferenceLoops:
         )
         assert same_bits(sample_euler(cfg).states, reference_euler(cfg))
 
+    @pytest.mark.parametrize("n_paths", [16385, 40001])
+    def test_exact_across_path_blocks(self, n_paths):
+        # more paths than one step block: 2 and 3 blocks of about 8192-13334
+        cfg = SimConfig(GeneratorParams(math.pi / 3), 0.4 - 0.9j, GRIDS[0], n_paths, SEED + 54)
+        assert same_bits(sample_exact(cfg).states, reference_exact(cfg))
+
+    @pytest.mark.parametrize("n_paths", [16385, 40001])
+    def test_euler_across_path_blocks(self, n_paths):
+        cfg = SimConfig(
+            GeneratorParams(-0.8), 1.0 - 0.5j, (0.0, 0.125, 0.5), n_paths, SEED + 55,
+            scheme="euler", dt=1.0 / 32,
+        )
+        assert same_bits(sample_euler(cfg).states, reference_euler(cfg))
+
+    def test_stationarity_across_path_blocks(self, monkeypatch):
+        args = (GeneratorParams(0.6), 40001, None, SEED + 56)
+        got = stationarity_check(*args)
+        monkeypatch.setattr(
+            sde, "sample_exact", lambda cfg: sde.PathEnsemble(cfg, reference_exact(cfg))
+        )
+        want = stationarity_check(*args)
+        for field in dataclasses.fields(sde.StationarityReport):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
     def test_single_path(self):
         cfg = SimConfig(GeneratorParams(-0.3), 2.0, (0.0, 0.5, 1.0), 1, SEED + 52)
         assert same_bits(sample_exact(cfg).states, reference_exact(cfg))
@@ -419,3 +457,44 @@ class TestSdeMomentsReplay:
 
         report = self._run_with_replay(monkeypatch, tamper, x0=1.0)
         assert report.details["bit_reproducible"] is False
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc (numpy's buffers included) in fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MB = 1 << 20
+
+
+class TestBoundedMemory:
+    """The Monte Carlo layer holds only what its results need."""
+
+    N = 200_000
+
+    def test_sample_exact_holds_the_ensemble(self):
+        cfg = SimConfig(GeneratorParams(0.3), 1.0, (0.0, 0.5, 1.0), self.N, SEED + 70)
+        sample_exact(cfg)  # warm
+        ensemble = 3 * self.N * 16
+        assert traced_peak(lambda: sample_exact(cfg)) <= ensemble + MB
+
+    def test_sde_moments_holds_two_ensembles(self):
+        # the first theta's ensemble and its replay; every later theta's
+        # ensemble is drawn after the one before it is freed
+        checks.check_sde_moments(n_paths=100)  # warm
+        ensemble = 3 * self.N * 16
+        peak = traced_peak(lambda: checks.check_sde_moments(n_paths=self.N))
+        assert peak <= 2 * ensemble + 2 * MB
+
+    def test_ks_normal_makes_no_python_float_per_point(self):
+        # a list of n Python floats would add 32 bytes a point, four float64
+        # arrays' worth; the statistic needs four such arrays
+        n = 10**6
+        x = np.random.default_rng(SEED + 71).standard_normal(n)
+        sde._ks_normal(x[:10])  # warm
+        assert traced_peak(lambda: sde._ks_normal(x)) <= 5 * 8 * n + MB
