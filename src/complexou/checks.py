@@ -134,17 +134,45 @@ def random_points(rng: np.random.Generator, n: int) -> np.ndarray:
 # -- hermite / quadrature suites ----------------------------------------------
 
 
+# Row blocks of the Gram matrix in _gram_residual: up to _GRAM_BLOCKS equal
+# blocks of at least _GRAM_BLOCK_ROWS rows.  Each `@` repacks its whole right
+# operand (Goto & van de Geijn, ACM TOMS 34(3), 2008), so a few large blocks
+# cost what one product costs.  Small blocks can round differently from the
+# one product (measured with OpenBLAS): a one-row block runs as a
+# matrix-vector product, and a block too small to be threaded splits its sum
+# over the points into other chunks than the threaded whole does.  Blocks of
+# 64 rows or more matched the one product bit for bit in every case measured,
+# on one BLAS thread and on two.
+_GRAM_BLOCKS = 8
+_GRAM_BLOCK_ROWS = 64
+
+
 def _gram_residual(max_degree: int, rule: QuadratureRule) -> tuple[float, int]:
     """Worst entry of the Gram matrix of {J[m,n] : m+n <= max_degree} under
-    the tensor rule minus the identity, and the basis size."""
+    the tensor rule minus the identity, and the basis size.
+
+    The basis rows are split into equal blocks, as ``PolyZZbar.eval`` splits
+    points, so one basis grid is held plus one block of it and that block's
+    Gram rows.  The rows of a block, (conj(J_i) w) @ J^T, are the exact
+    conjugates of the rows of the one product (J w) @ conj(J)^T (a complex
+    multiply-add rounds the same either sign), so every |G - I| entry is
+    that product's.
+    """
     pts, wts = rule.tensor_points()
     vals = hermite.basis_values(max_degree, pts)
-    # at most two copies of the basis grid: vals * wts is formed before vals
-    # is conjugated in place, and both are freed before the residual is taken
-    gram = (vals * wts) @ np.conjugate(vals, out=vals).T
-    del vals
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return float(np.max(np.abs(gram))), len(gram)
+    size = len(vals)
+    n_blocks = max(1, min(_GRAM_BLOCKS, size // _GRAM_BLOCK_ROWS))
+    bounds = [size * i // n_blocks for i in range(n_blocks + 1)]
+    worst = 0.0
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = np.conjugate(vals[lo:hi])
+        block *= wts
+        gram = block @ vals.T
+        del block
+        gram[np.arange(hi - lo), np.arange(lo, hi)] -= 1.0
+        worst = max(worst, float(np.max(np.abs(gram))))
+        del gram  # before the next block's rows are formed
+    return worst, size
 
 
 def check_orthonormality(max_degree: int = 10, order: int = 12) -> CheckReport:
@@ -227,8 +255,12 @@ def check_roundtrip(max_degree: int = 10) -> CheckReport:
         p = PolyZZbar({(a, b): 1.0 + 0.5j})
         back = hermite.synthesize(hermite.project_monomials(p))
         worst = max(worst, (back - p).max_abs_coeff() / max(1.0, p.max_abs_coeff()))
-    # expansion coefficients reach ~1e6 at degree 10 and cancel back down to
-    # the input, so ~1e-10 of float noise is intrinsic to the round trip
+    # the residual comes from the two coefficient tables, not the round trip:
+    # each J and monomial->J coefficient is comb * comb * exp(lgamma + ...),
+    # rounded several times, and errs by up to 13 ulps at degree 10 against
+    # its exact value; the expansion coefficients reach ~1e6 and cancel back
+    # down to the input, which lifts that to ~1e-10 (correctly rounded tables
+    # give ~4e-12)
     return CheckReport.within("expansion-roundtrip", worst, 1e-9, {"max_degree": max_degree})
 
 

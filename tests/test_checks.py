@@ -1,12 +1,16 @@
 """The random inputs of the verification suites: each generator draws its
-coefficients as one block and must give what one scalar draw per part gives."""
+coefficients as one block and must give what one scalar draw per part gives.
+The orthonormality Gram matrix, taken in row blocks, gives the residual of one
+product bit for bit and holds one basis grid."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from complexou import checks
+from complexou import checks, hermite
+from complexou.quadrature import gauss_hermite_rule
+from memtrace import MB, traced_peak
 
 
 def scalar_normals(rng, max_degree):
@@ -58,3 +62,39 @@ def test_report_requires_residual_and_tol():
         checks.CheckReport("suite", True)
     report = checks.CheckReport.within("suite", 0.5, 1.0, {})
     assert report.to_json_obj() == {"name": "suite", "pass": True, "max_residual": 0.5, "tol": 1.0}
+
+
+def one_product_residual(max_degree, rule):
+    """max |G - I| with the Gram matrix as one product, (J w) @ conj(J)^T."""
+    pts, wts = rule.tensor_points()
+    vals = hermite.basis_values(max_degree, pts)
+    gram = (vals * wts) @ np.conjugate(vals).T
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.max(np.abs(gram)))
+
+
+class TestGramResidual:
+    # basis sizes 1, 3 and 6 (under 8 rows), 136 and 528 (8 divides them; 2
+    # and 8 blocks), 153, 300 and 561 (it does not; 2, 4 and 8 blocks)
+    @pytest.mark.parametrize("max_degree, order", [
+        (0, 2), (1, 3), (2, 4), (15, 17), (16, 18), (23, 25), (31, 33), (32, 34),
+        (2, 128), (16, 128),
+    ])
+    def test_bit_for_bit_with_one_product(self, max_degree, order):
+        rule = gauss_hermite_rule(order)
+        resid, size = checks._gram_residual(max_degree, rule)
+        assert size == (max_degree + 1) * (max_degree + 2) // 2
+        assert resid.hex() == one_product_residual(max_degree, rule).hex()
+
+    @pytest.mark.parametrize("order", [6, 12, 128])
+    def test_quadrature_gram_block(self, order):
+        got = checks.check_quadrature(order).details["gram_deg4"]
+        assert got.hex() == one_product_residual(4, gauss_hermite_rule(order)).hex()
+
+    def test_orthonormality_holds_one_basis_grid(self):
+        # 561 basis rows on 34^2 points; the one product held two grids and
+        # the Gram matrix (24.6 MB traced)
+        checks.check_orthonormality(32, order=34)  # warm
+        grid = 561 * 34**2 * 16
+        peak = traced_peak(lambda: checks.check_orthonormality(32, order=34))
+        assert peak <= grid + grid // 4 + MB

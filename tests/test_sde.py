@@ -10,7 +10,6 @@ Carlo layer holds, traced with tracemalloc.
 import cmath
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from complexou import (
     semigroup_mehler,
     stationarity_check,
 )
+from memtrace import MB, traced_peak
 
 SEED = 42 * 10**9 + 7
 
@@ -457,19 +457,6 @@ class TestSdeMomentsReplay:
 
         report = self._run_with_replay(monkeypatch, tamper, x0=1.0)
         assert report.details["bit_reproducible"] is False
-
-
-def traced_peak(fn) -> int:
-    """Peak bytes traced by tracemalloc (numpy's buffers included) in fn()."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-MB = 1 << 20
 
 
 class TestBoundedMemory:
