@@ -36,9 +36,8 @@ the same subspace; :func:`build_basis_transform` realizes both change-of-basis
 matrices from their closed-form coefficient sums (never by numerical
 inversion, so the mutual-inverse property remains a genuine identity check).
 
-Numerical policy: binomial coefficients are exact integers; every factorial
-ratio under a square root is accumulated in log space (lgamma) so the stated
-ranges (total degree up to 64) stay far from overflow.
+Numerical policy: every normalization coefficient is the correctly rounded
+square root of an exact rational of Python integers (:func:`_sqrt_ratio`).
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ import numpy as np
 from .poly import _Z, _ZBAR, PolyZZbar, _lincomb, _wrap
 from .spectral import MAX_TOTAL_DEGREE, SpectralCoeffs
 
-_LN2 = math.log(2.0)
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k by k mod 4
 
 MAX_CREATION_DEGREE = 32
@@ -136,18 +134,27 @@ def _check_degrees(m: int, n: int, limit: int) -> None:
         raise ValueError(f"need m, n >= 0 and m + n <= {limit}, got ({m}, {n})")
 
 
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) correctly rounded, for integers num >= 0 and den > 0.
+
+    The integer root exceeds 2^64, so it is sqrt(num / den) 2^s to better
+    than 2^-64 relative; the int -> float conversion rounds it once, and
+    ldexp is exact.
+    """
+    s = 64 + max(num.bit_length(), den.bit_length())
+    return math.ldexp(float(math.isqrt((num << 2 * s) // den)), -s)
+
+
 @lru_cache(maxsize=None)
 def complex_hermite(m: int, n: int) -> PolyZZbar:
     """Complex Hermite polynomial J[m,n] from the explicit closed form."""
     _check_degrees(m, n, MAX_TOTAL_DEGREE)
-    log_norm = -0.5 * (math.lgamma(m + 1) + math.lgamma(n + 1) + (m + n) * _LN2)
+    den = math.factorial(m) * math.factorial(n) << (m + n)
     # the band [m - r, n - r]; the r = 0 corner is nonzero, so c is trimmed
     c = np.zeros((m + 1, n + 1), dtype=complex)
     for r in range(min(m, n) + 1):
-        mag = math.comb(m, r) * math.comb(n, r) * math.exp(
-            math.lgamma(r + 1) + r * _LN2 + log_norm
-        )
-        c[m - r, n - r] = (-1) ** r * mag
+        num = math.comb(m, r) * math.comb(n, r) * math.factorial(r) << r
+        c[m - r, n - r] = (-1) ** r * _sqrt_ratio(num * num, den)
     return _wrap(PolyZZbar, c)
 
 
@@ -197,7 +204,7 @@ def basis_values(max_total: int, pts: np.ndarray) -> np.ndarray:
 
 def _creation_scale(m: int, n: int) -> float:
     """sqrt(2^(m+n) / (m! n!)), which normalizes (a*)^m (abar*)^n 1 to J[m,n]."""
-    return math.exp(0.5 * ((m + n) * _LN2 - math.lgamma(m + 1) - math.lgamma(n + 1)))
+    return _sqrt_ratio(1 << (m + n), math.factorial(m) * math.factorial(n))
 
 
 def complex_hermite_via_creation(m: int, n: int) -> PolyZZbar:
@@ -232,20 +239,22 @@ def creation_ladder(max_total: int) -> Iterator[tuple[int, int, PolyZZbar]]:
             yield m, n, p * _creation_scale(m, n)
 
 
+@lru_cache(maxsize=None)
 def monomial_to_hermite(m: int, n: int) -> SpectralCoeffs:
     """Expansion of the monomial z^m zbar^n over the J basis:
 
     z^m zbar^n = sum_{k=0}^{min(m,n)} C(m,k) C(n,k) k!
                  sqrt((m-k)! (n-k)! 2^(m+n)) J[m-k, n-k].
+
+    The result is read-only and shared between calls with the same (m, n).
     """
     _check_degrees(m, n, MAX_TOTAL_DEGREE)
     # the band [m - k, n - k]; the k = 0 corner is nonzero, so c is trimmed
     c = np.zeros((m + 1, n + 1), dtype=complex)
     for k in range(min(m, n) + 1):
-        c[m - k, n - k] = math.comb(m, k) * math.comb(n, k) * math.exp(
-            math.lgamma(k + 1)
-            + 0.5 * (math.lgamma(m - k + 1) + math.lgamma(n - k + 1) + (m + n) * _LN2)
-        )
+        lead = math.comb(m, k) * math.comb(n, k) * math.factorial(k)
+        num = lead * lead * math.factorial(m - k) * math.factorial(n - k) << (m + n)
+        c[m - k, n - k] = _sqrt_ratio(num, 1)
     return _wrap(SpectralCoeffs, c)
 
 
@@ -277,6 +286,8 @@ def build_basis_transform(degree: int) -> BasisTransform:
     l = degree
     if not 0 <= l <= MAX_TRANSFORM_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_TRANSFORM_DEGREE}], got {l}")
+    # fact[j] = j! (l-j)!, the factorials under both square roots
+    fact = [math.factorial(j) * math.factorial(l - j) for j in range(l + 1)]
     forward = np.zeros((l + 1, l + 1), dtype=complex)
     inverse = np.zeros((l + 1, l + 1), dtype=complex)
     for m in range(l + 1):
@@ -286,20 +297,14 @@ def build_basis_transform(degree: int) -> BasisTransform:
                 math.comb(m, r) * math.comb(l - m, k - r) * (-1) ** ((l - m - k + r) % 2)
                 for r in range(k + 1)
             )
-            log_fwd = 0.5 * (
-                math.lgamma(k + 1) + math.lgamma(l - k + 1)
-                - l * _LN2 - math.lgamma(m + 1) - math.lgamma(l - m + 1)
-            )
-            forward[m, k] = _I_POW[(l - k) % 4] * s_fwd * math.exp(log_fwd)
+            root = _sqrt_ratio(fact[k], fact[m] << l)
+            forward[m, k] = _I_POW[(l - k) % 4] * s_fwd * root
 
             # H_k(x) H_{l-k}(y) over J[m, l-m]
             s_inv = sum(
                 math.comb(k, r) * math.comb(l - k, m - r) * (-1) ** ((m - r) % 2)
                 for r in range(m + 1)
             )
-            log_inv = 0.5 * (
-                math.lgamma(m + 1) + math.lgamma(l - m + 1)
-                - l * _LN2 - math.lgamma(k + 1) - math.lgamma(l - k + 1)
-            )
-            inverse[k, m] = _I_POW[(l - k) % 4] * s_inv * math.exp(log_inv)
+            root = _sqrt_ratio(fact[m], fact[k] << l)
+            inverse[k, m] = _I_POW[(l - k) % 4] * s_inv * root
     return BasisTransform(l, forward, inverse)

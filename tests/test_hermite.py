@@ -1,9 +1,11 @@
 """Real and complex Hermite polynomials: closed form vs creation-operator
-route, orthonormality conventions, basis transforms, and the monomial
-expansion round trip.
+route, orthonormality conventions, basis transforms, the monomial
+expansion round trip, and every normalization coefficient against its exact
+value.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from complexou import (
     synthesize,
 )
 from complexou import checks, hermite
-from complexou.hermite import MAX_TRANSFORM_DEGREE
+from complexou.hermite import MAX_CREATION_DEGREE, MAX_TRANSFORM_DEGREE
 from complexou.spectral import MAX_TOTAL_DEGREE
 
 SQRT2 = math.sqrt(2.0)
@@ -130,6 +132,10 @@ class TestCreationRoute:
         with pytest.raises(ValueError):
             complex_hermite_via_creation(20, 13)
 
+    def test_construction_at_the_degree_limit(self):
+        rep = checks.check_construction(MAX_CREATION_DEGREE)
+        assert rep.passed, rep.max_residual
+
     def test_ladder_equals_direct_route_array_for_array(self):
         # same operations in the same order, so the same bytes, signed zeros too
         seen = []
@@ -215,7 +221,8 @@ class TestMonomialExpansion:
 
     def test_roundtrip_on_monomials(self):
         # expansion coefficients are large at degree 10 (~1e6) and cancel on
-        # the way back, so the float floor of this round trip is ~1e-10
+        # the way back; with correctly rounded tables the worst residual is
+        # about 4e-12
         for a, b in basis_indices(10):
             back = synthesize(monomial_to_hermite(a, b))
             assert (back - PolyZZbar.monomial(a, b)).max_abs_coeff() <= 1e-9
@@ -237,6 +244,58 @@ class TestMonomialExpansion:
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):
             monomial_to_hermite(33, 32)
+
+    def test_one_read_only_expansion_per_key(self):
+        exp = monomial_to_hermite(4, 2)
+        assert monomial_to_hermite(4, 2) is exp
+        with pytest.raises(ValueError):
+            exp._c[0, 0] = 1.0
+
+    def test_projection_is_the_same_with_the_cache_cold_or_warm(self):
+        rng = np.random.default_rng(41)
+        p = PolyZZbar(
+            {(a, b): complex(rng.standard_normal(), rng.standard_normal())
+             for a, b in basis_indices(12)}
+        )
+        monomial_to_hermite.cache_clear()
+        cold = project_monomials(p)
+        warm = project_monomials(p)
+        assert cold._c.tobytes() == warm._c.tobytes()
+
+
+def correctly_rounded_root(c: float, exact: Fraction) -> bool:
+    """|c| is sqrt(exact) rounded to nearest: (|c| - ulp/2)^2 <= exact <= (|c| + ulp/2)^2."""
+    half = Fraction(math.ulp(c)) / 2
+    return (Fraction(abs(c)) - half) ** 2 <= exact <= (Fraction(abs(c)) + half) ** 2
+
+
+class TestCorrectlyRoundedCoefficients:
+    """Each coefficient is the square root of an exact rational, rounded once."""
+
+    def test_explicit_basis_coefficients(self):
+        for m, n in basis_indices(MAX_TOTAL_DEGREE):
+            c = complex_hermite(m, n)._c
+            den = math.factorial(m) * math.factorial(n) * 2 ** (m + n)
+            for r in range(min(m, n) + 1):
+                x = c[m - r, n - r]
+                num = (math.comb(m, r) * math.comb(n, r) * math.factorial(r) * 2**r) ** 2
+                assert x.imag == 0.0 and math.copysign(1.0, x.real) == (-1) ** r, (m, n, r)
+                assert correctly_rounded_root(x.real, Fraction(num, den)), (m, n, r)
+
+    def test_monomial_expansion_coefficients(self):
+        for m, n in basis_indices(MAX_TOTAL_DEGREE):
+            c = monomial_to_hermite(m, n)._c
+            for k in range(min(m, n) + 1):
+                x = c[m - k, n - k]
+                lead = math.comb(m, k) * math.comb(n, k) * math.factorial(k)
+                exact = lead**2 * math.factorial(m - k) * math.factorial(n - k) * 2 ** (m + n)
+                assert x.imag == 0.0 and x.real > 0.0, (m, n, k)
+                assert correctly_rounded_root(x.real, Fraction(exact)), (m, n, k)
+
+    def test_creation_scale(self):
+        for m, n in basis_indices(MAX_CREATION_DEGREE):
+            exact = Fraction(2 ** (m + n), math.factorial(m) * math.factorial(n))
+            assert correctly_rounded_root(hermite._creation_scale(m, n), exact), (m, n)
 
 
 def test_spectral_coeffs_json_roundtrip():

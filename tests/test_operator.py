@@ -27,6 +27,8 @@ from complexou import (
     project_monomials,
     synthesize,
 )
+from complexou import checks
+from complexou.spectral import MAX_TOTAL_DEGREE
 
 THETAS = (0.0, math.pi / 6, -math.pi / 6, math.pi / 4, -math.pi / 4, 0.49 * math.pi, -0.49 * math.pi)
 
@@ -109,6 +111,10 @@ class TestGeneratorWirtingerForm:
                     target = j * eigenvalue(params, m, total - m)
                     resid = (apply_generator_wirtinger(params, j) - target).max_abs_coeff()
                     assert resid <= 1e-9 * max(1.0, target.max_abs_coeff())
+
+    def test_eigenrelation_at_max_total_degree(self):
+        rep = checks.check_eigenrelation(MAX_TOTAL_DEGREE, thetas=(math.pi / 4,))
+        assert rep.passed, rep.max_residual
 
     @staticmethod
     def fresh_monomial_generator(params, phi):

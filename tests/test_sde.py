@@ -1,7 +1,8 @@
 """Exact and Euler path simulation: bit-level reproducibility, transition
 moments, Monte Carlo semigroup estimates against quadrature, stationarity of
 the long-time law and its Kolmogorov-Smirnov statistic against scipy's,
-first-order weak convergence of the Euler scheme, the samplers against plain
+first-order weak convergence of the Euler scheme (coupled, and from the
+closed-form moment recursion of the Euler chain), the samplers against plain
 reference loops bit for bit (across path blocks too), the time-major layout,
 the byte-level replay check of ``check_sde_moments``, and the memory the Monte
 Carlo layer holds, traced with tracemalloc.
@@ -246,6 +247,44 @@ class TestEulerWeakConvergence:
     def test_needs_two_paths_for_standard_errors(self):
         with pytest.raises(ValueError, match="n_paths must be >= 2 for standard errors, got 1"):
             euler_halving_probe(GeneratorParams(0.3), 1.0, 1.0, 0.25, 1, SEED)
+
+
+def euler_second_moment(theta, x0, t, dt):
+    """E|Z|^2 of the Euler chain after t/dt steps, by its recursion: with
+    a = 1 - e^{i theta} dt and noise sqrt(2 cos(theta) dt) W, E|W|^2 = 2,
+    m_{k+1} = |a|^2 m_k + 4 cos(theta) dt (and E Z_k = a^k x0, which
+    TestEulerSampler checks)."""
+    a = 1.0 - cmath.exp(1j * theta) * dt
+    second = abs(x0) ** 2
+    for _ in range(round(t / dt)):
+        second = abs(a) ** 2 * second + 4.0 * math.cos(theta) * dt
+    return second
+
+
+class TestEulerRecursion:
+    THETA, X0, T = math.pi / 4, 1.0 + 0.5j, 1.0
+
+    def test_first_order_weak_error_against_the_exact_law(self):
+        decay_sq = math.exp(-2.0 * self.T * math.cos(self.THETA))
+        exact = decay_sq * abs(self.X0) ** 2 + 2.0 * (1.0 - decay_sq)
+        errs = [
+            euler_second_moment(self.THETA, self.X0, self.T, dt) - exact
+            for dt in (1e-3, 2e-3, 4e-3)
+        ]
+        assert errs == pytest.approx([1.071e-3, 2.143e-3, 4.292e-3], rel=1e-3)
+        assert errs[1] / errs[0] == pytest.approx(2.0, abs=0.01)
+        assert errs[2] / errs[1] == pytest.approx(2.0, abs=0.01)
+
+    def test_sampler_second_moment_follows_the_recursion(self):
+        # the target is the chain's own moment, so the band holds one SE only
+        dt, n = 4e-3, 20_000
+        cfg = SimConfig(
+            GeneratorParams(self.THETA), self.X0, (0.0, self.T), n, SEED + 5,
+            scheme="euler", dt=dt,
+        )
+        got, se = estimate_pt(sample_euler(cfg), PolyZZbar({(1, 1): 1.0}), 1)
+        target = euler_second_moment(self.THETA, self.X0, self.T, dt)
+        assert abs(got - target) <= 4.0 * se
 
 
 class TestRotationCovariance:
