@@ -239,14 +239,11 @@ def creation_ladder(max_total: int) -> Iterator[tuple[int, int, PolyZZbar]]:
             yield m, n, p * _creation_scale(m, n)
 
 
-@lru_cache(maxsize=None)
 def monomial_to_hermite(m: int, n: int) -> SpectralCoeffs:
     """Expansion of the monomial z^m zbar^n over the J basis:
 
     z^m zbar^n = sum_{k=0}^{min(m,n)} C(m,k) C(n,k) k!
                  sqrt((m-k)! (n-k)! 2^(m+n)) J[m-k, n-k].
-
-    The result is read-only and shared between calls with the same (m, n).
     """
     _check_degrees(m, n, MAX_TOTAL_DEGREE)
     # the band [m - k, n - k]; the k = 0 corner is nonzero, so c is trimmed

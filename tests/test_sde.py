@@ -264,16 +264,22 @@ def euler_second_moment(theta, x0, t, dt):
 class TestEulerRecursion:
     THETA, X0, T = math.pi / 4, 1.0 + 0.5j, 1.0
 
-    def test_first_order_weak_error_against_the_exact_law(self):
+    def test_halving_probe_gaps_follow_the_recursion(self):
+        # the recursion's weak error against the exact law is first order ...
         decay_sq = math.exp(-2.0 * self.T * math.cos(self.THETA))
         exact = decay_sq * abs(self.X0) ** 2 + 2.0 * (1.0 - decay_sq)
-        errs = [
-            euler_second_moment(self.THETA, self.X0, self.T, dt) - exact
-            for dt in (1e-3, 2e-3, 4e-3)
-        ]
+        moments = [euler_second_moment(self.THETA, self.X0, self.T, dt)
+                   for dt in (1e-3, 2e-3, 4e-3)]
+        errs = [m - exact for m in moments]
         assert errs == pytest.approx([1.071e-3, 2.143e-3, 4.292e-3], rel=1e-3)
         assert errs[1] / errs[0] == pytest.approx(2.0, abs=0.01)
         assert errs[2] / errs[1] == pytest.approx(2.0, abs=0.01)
+        # ... and the coupled probe's gaps between dt, 2dt, 4dt are its gaps
+        report = euler_halving_probe(
+            GeneratorParams(self.THETA), self.X0, self.T, 1e-3, 5000, SEED + 6
+        )
+        assert abs(report.diff_fine - (moments[1] - moments[0])) <= 4.0 * report.diff_fine_se
+        assert abs(report.diff_coarse - (moments[2] - moments[1])) <= 4.0 * report.diff_coarse_se
 
     def test_sampler_second_moment_follows_the_recursion(self):
         # the target is the chain's own moment, so the band holds one SE only
