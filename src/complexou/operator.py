@@ -43,8 +43,10 @@ from .poly import _Z, _ZBAR, MonomialTable, PolyZZbar, PolyWWbar, compose
 from .spectral import SpectralCoeffs
 
 # cos(theta) must stay strictly positive; reject angles where the diffusion
-# coefficient degenerates.
-THETA_BOUND = 0.499999 * math.pi
+# coefficient degenerates.  The generator route of Gamma divides by cos(theta),
+# so its roundoff grows as about 1.8e-14 / cos(theta): 6e-11 here, inside the
+# carre-du-champ tol of 1e-10, and 5.6e-9 at 0.499999 * pi.
+THETA_BOUND = 0.4999 * math.pi
 
 
 @dataclass(frozen=True)

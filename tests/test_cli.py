@@ -340,9 +340,15 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     def test_domain_error_from_bad_angle(self, capsys):
-        code, _, err = run_cli(capsys, "operator", "eigen", "--theta", "2.0", "--m", "1", "--n", "0")
-        assert code == 2
-        assert "error:" in err
+        # 0.499999 pi is past THETA_BOUND = 0.4999 pi, where Gamma's
+        # generator route no longer meets its tolerance
+        for theta in ("2.0", repr(0.499999 * math.pi)):
+            code, out, err = run_cli(
+                capsys, "operator", "eigen", f"--theta={theta}", "--m", "1", "--n", "0"
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_expression_error(self, capsys):
         code, _, err = run_cli(capsys, "operator", "gamma", "--phi", "2z")

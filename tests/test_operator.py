@@ -28,6 +28,7 @@ from complexou import (
     synthesize,
 )
 from complexou import checks
+from complexou.operator import THETA_BOUND
 from complexou.spectral import MAX_TOTAL_DEGREE
 
 THETAS = (0.0, math.pi / 6, -math.pi / 6, math.pi / 4, -math.pi / 4, 0.49 * math.pi, -0.49 * math.pi)
@@ -51,11 +52,14 @@ def random_coeffs(rng, max_degree):
 
 class TestParams:
     def test_angle_bound_is_strict(self):
-        GeneratorParams(0.499 * math.pi)
-        with pytest.raises(ValueError):
-            GeneratorParams(math.pi / 2)
-        with pytest.raises(ValueError):
-            GeneratorParams(-1.6)
+        assert THETA_BOUND == 0.4999 * math.pi
+        GeneratorParams(THETA_BOUND)
+        GeneratorParams(-THETA_BOUND)
+        for theta in (math.nextafter(THETA_BOUND, math.inf), 0.499999 * math.pi, math.pi / 2, 1.6):
+            with pytest.raises(ValueError):
+                GeneratorParams(theta)
+            with pytest.raises(ValueError):
+                GeneratorParams(-theta)
 
     def test_drift_and_cosine(self):
         p = GeneratorParams(math.pi / 4)
@@ -268,6 +272,12 @@ class TestCarreDuChamp:
             direct = carre_du_champ(phi, psi)
             via_gen = carre_du_champ_via_generator(GeneratorParams(theta), phi, psi)
             assert (direct - via_gen).max_abs_coeff() <= 1e-10
+
+    def test_two_routes_agree_at_the_angle_bound(self):
+        # the generator route divides by cos(theta), so this is Gamma's worst
+        # admissible angle: about 6e-11 against the suite's tol of 1e-10
+        rep = checks.check_gamma(thetas=(THETA_BOUND, -THETA_BOUND))
+        assert rep.passed, rep.max_residual
 
     def test_diagonal_is_nonnegative(self):
         rng = np.random.default_rng(73)

@@ -17,22 +17,28 @@ directory.  For each workload it holds:
 - the traced run's per-layer metrics;
 - each run's correctness, and its failed ops with their messages.
 
-It also holds the environment from the first report line (Python, numpy,
-scipy, the CPU, the thread cap and the git commit) and ``uncommitted``, the
-tracked files in which the measured checkout differs from that commit, so a
-snapshot of an uncommitted tree says so.  Diff two snapshots only when one
-machine made both.  A speed-up claim still needs the alternating pairs of
-``perfbench/compare.py``; two snapshots run one after the other share the
-host's drift.
+It also holds ``tier1``, the passed and failed counts and the wall time of
+one Tier-1 run (``python -m pytest -q -p no:cacheprovider`` in the checkout,
+with its ``src`` on ``PYTHONPATH``), since the test suite's time is an
+end-to-end measure too; the environment from the first report line (Python,
+numpy, scipy, the CPU, the thread cap and the git commit); and
+``uncommitted``, the tracked files in which the measured checkout differs
+from that commit, so a snapshot of an uncommitted tree says so.  Diff two
+snapshots only when one machine made both.  A speed-up claim still needs the
+alternating pairs of ``perfbench/compare.py``; two snapshots run one after the
+other share the host's drift.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -66,6 +72,22 @@ def uncommitted(root: Path) -> list[str]:
     return sorted(line[3:] for line in proc.stdout.splitlines())
 
 
+def tier1(root: Path) -> dict:
+    """Passed and failed counts and wall seconds of one Tier-1 run in ``root``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=1800,
+    )
+    wall = time.perf_counter() - start
+    summary = proc.stdout.strip().rpartition("\n")[2]
+    counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed)", summary)}
+    return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "wall_s": round(wall, 2)}
+
+
 def snapshot(root: Path, pr: int) -> dict:
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
@@ -92,6 +114,8 @@ def snapshot(root: Path, pr: int) -> dict:
         }
         print(f"{name}: pass_cpu_s median {statistics.median(values['pass_cpu_s']):.4g} s",
               file=sys.stderr)
+    out["tier1"] = tier1(root)
+    print(f"tier1: {out['tier1']}", file=sys.stderr)
     return out
 
 
