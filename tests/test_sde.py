@@ -105,6 +105,30 @@ class TestExactSampler:
         assert abs(float(dev.mean()) - target) <= 4.0 * se
 
 
+def euler_moments(theta, x0, t, dt):
+    """(E Z, E|Z|^2) of the Euler chain after t/dt steps, by its recursion:
+    with a = 1 - e^{i theta} dt and noise sqrt(2 cos(theta) dt) W, E W = 0 and
+    E|W|^2 = 2, so E Z_{k+1} = a E Z_k and m_{k+1} = |a|^2 m_k + 4 cos(theta) dt."""
+    a = 1.0 - cmath.exp(1j * theta) * dt
+    mean, second = complex(x0), abs(x0) ** 2
+    for _ in range(round(t / dt)):
+        mean = a * mean
+        second = abs(a) ** 2 * second + 4.0 * math.cos(theta) * dt
+    return mean, second
+
+
+@pytest.fixture(scope="module")
+def euler_run():
+    """One 200000-path Euler ensemble at theta = pi/4, x0 = 1+0.5j, t = 1,
+    dt = 4e-3, with the chain's own (E Z, E|Z|^2) from ``euler_moments``; the
+    targets carry no discretisation bias, so each band holds one SE only."""
+    theta, x0, t, dt = math.pi / 4, 1.0 + 0.5j, 1.0, 4e-3
+    cfg = SimConfig(
+        GeneratorParams(theta), x0, (0.0, t), 200_000, SEED + 4, scheme="euler", dt=dt
+    )
+    return sample_euler(cfg), euler_moments(theta, x0, t, dt)
+
+
 class TestEulerSampler:
     def test_initial_state_and_reproducibility(self):
         cfg = SimConfig(
@@ -113,6 +137,12 @@ class TestEulerSampler:
         a = sample_euler(cfg).states
         assert np.all(a[:, 0] == 2.0)
         assert np.array_equal(a, sample_euler(cfg).states)
+
+    def test_mean_follows_the_drift_recursion(self, euler_run):
+        # the noise has mean zero, so E[Z] steps as explicit Euler on the drift
+        ens, (mean, _) = euler_run
+        got, se = estimate_pt(ens, PolyZZbar.z(), 1)
+        assert abs(got - mean) <= 4.0 * se
 
 
 class TestEstimatePt:
@@ -219,18 +249,6 @@ class TestEulerWeakConvergence:
             euler_halving_probe(GeneratorParams(0.3), 1.0, 1.0, 0.25, 1, SEED)
 
 
-def euler_moments(theta, x0, t, dt):
-    """(E Z, E|Z|^2) of the Euler chain after t/dt steps, by its recursion:
-    with a = 1 - e^{i theta} dt and noise sqrt(2 cos(theta) dt) W, E W = 0 and
-    E|W|^2 = 2, so E Z_{k+1} = a E Z_k and m_{k+1} = |a|^2 m_k + 4 cos(theta) dt."""
-    a = 1.0 - cmath.exp(1j * theta) * dt
-    mean, second = complex(x0), abs(x0) ** 2
-    for _ in range(round(t / dt)):
-        mean = a * mean
-        second = abs(a) ** 2 * second + 4.0 * math.cos(theta) * dt
-    return mean, second
-
-
 class TestEulerRecursion:
     THETA, X0, T = math.pi / 4, 1.0 + 0.5j, 1.0
 
@@ -251,18 +269,8 @@ class TestEulerRecursion:
         assert abs(report.diff_fine - (moments[1] - moments[0])) <= 4.0 * report.diff_fine_se
         assert abs(report.diff_coarse - (moments[2] - moments[1])) <= 4.0 * report.diff_coarse_se
 
-    def test_sampler_moments_follow_the_recursion(self):
-        # the targets are the chain's own moments at the same dt, so they carry
-        # no discretisation bias and each band holds one SE only
-        dt = 4e-3
-        cfg = SimConfig(
-            GeneratorParams(self.THETA), self.X0, (0.0, self.T), 200_000, SEED + 4,
-            scheme="euler", dt=dt,
-        )
-        ens = sample_euler(cfg)
-        mean, second = euler_moments(self.THETA, self.X0, self.T, dt)
-        got, se = estimate_pt(ens, PolyZZbar.z(), 1)
-        assert abs(got - mean) <= 4.0 * se
+    def test_sampler_second_moment_follows_the_recursion(self, euler_run):
+        ens, (_, second) = euler_run
         got, se = estimate_pt(ens, PolyZZbar({(1, 1): 1.0}), 1)
         assert abs(got - second) <= 4.0 * se
 
