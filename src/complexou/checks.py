@@ -526,14 +526,15 @@ def check_rotation_invariance(
 # -- sde suites -----------------------------------------------------------------
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal shapes and every bit of two complex arrays equal, signed zeros
-    included: their real and imaginary parts are compared as uint64 views,
-    which copy nothing whatever the layout."""
-    return a.shape == b.shape and all(
-        np.array_equal(p.view(np.uint64), q.view(np.uint64))
-        for p, q in ((a.real, b.real), (a.imag, b.imag))
-    )
+def _digest(states: np.ndarray) -> tuple:
+    """Shape, dtype and SHA-256 of every byte of an ensemble's states, signed
+    zeros included.  The bytes are read from ``states.T``, the samplers'
+    frozen, C-contiguous time-major buffer, so nothing is copied."""
+    # imported here, not with the module: hashlib loads OpenSSL, about 8 ms of
+    # CPU that every command would pay at import and only this suite uses
+    import hashlib
+
+    return states.shape, states.dtype, hashlib.sha256(np.ascontiguousarray(states.T)).digest()
 
 
 def _moment_deviations(z: np.ndarray, p: PropagatorParams, x0: complex) -> tuple[float, float]:
@@ -543,7 +544,7 @@ def _moment_deviations(z: np.ndarray, p: PropagatorParams, x0: complex) -> tuple
     mean_se = math.sqrt(2.0 * (1.0 - abs(p.decay) ** 2) / n)
     mean_dev = abs(complex(z.mean()) - p.decay * x0) / mean_se
 
-    dev_sq = np.abs(z - z.mean()) ** 2
+    dev_sq = sde._abs_dev_sq(z, z.mean())
     var_hat = float(dev_sq.sum()) / (n - 1)
     var_se = sde._real_mean_and_se(dev_sq)[1]
     return mean_dev, abs(var_hat - 2.0 * p.noise_std**2) / var_se
@@ -560,7 +561,10 @@ def check_sde_moments(
 
     Mean target e^{-e^{i theta} t} x0 with SE sqrt(2(1-e^{-2t cos theta})/n);
     variance target 2(1-e^{-2t cos theta}) with its empirical SE.  Also
-    replays one configuration to confirm bit-identical states.
+    replays the first configuration to confirm bit-identical states: its
+    moments are taken, the SHA-256 digest of its bytes is kept and the
+    ensemble freed, then the replay is drawn and its digest compared, so at
+    most one ensemble is held at a time.
     max_residual is the worst deviation in SE units; tol = 4.
     """
     if n_paths < 2:
@@ -577,12 +581,13 @@ def check_sde_moments(
             seed=seed + i,
         )
         states = sde.sample_exact(config).states
-        if i == 0:
-            # the replay is freed once compared
-            repro = _same_bits(states, sde.sample_exact(config).states)
         for k, t in enumerate(ts, start=1):
             worst = max(worst, *_moment_deviations(states[:, k], PropagatorParams(params, t), x0))
-        del states  # before the next theta's ensemble is drawn
+        if i == 0:
+            digest = _digest(states)
+        del states  # before the replay or the next theta's ensemble is drawn
+        if i == 0:
+            repro = _digest(sde.sample_exact(config).states) == digest
     return CheckReport(
         name="sde-moments",
         passed=(worst <= 4.0) and repro,

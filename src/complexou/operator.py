@@ -58,7 +58,7 @@ class GeneratorParams:
     def __post_init__(self):
         if not abs(self.theta) <= THETA_BOUND:
             raise ValueError(
-                f"|theta| must be <= {THETA_BOUND:.6f} (strictly inside (-pi/2, pi/2)), "
+                f"|theta| must be <= {THETA_BOUND!r} (strictly inside (-pi/2, pi/2)), "
                 f"got {self.theta}"
             )
 

@@ -136,12 +136,20 @@ def _advance(z, factor, src, amp, noise, kick) -> None:
     z += kick
 
 
-# Most paths per block of a sampler step.  Each block draws its own normals,
-# so a step's scratch is one block's (at most 256 KiB) rather than the whole
-# width's.  The paths are split evenly, as in PolyZZbar.eval, so no block is
-# shorter than half of this: numpy runs a one-element array through another
-# loop.
+# Most paths per block of a sampler step, and of the deviations in
+# _abs_dev_sq.  Each block draws its own normals, so a step's scratch is one
+# block's (at most 256 KiB) rather than the whole width's.  The paths are
+# split evenly, as in PolyZZbar.eval, so no block is shorter than half of
+# this: numpy runs a one-element array through another loop.
 _STEP_BLOCK = 16384
+
+
+def _path_blocks(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of the fewest equal path blocks of at most
+    :data:`_STEP_BLOCK` paths that cover n paths in order."""
+    n_blocks = -(-n // _STEP_BLOCK)
+    bounds = [n * i // n_blocks for i in range(n_blocks + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _sample(config: SimConfig, gaps) -> PathEnsemble:
@@ -155,12 +163,9 @@ def _sample(config: SimConfig, gaps) -> PathEnsemble:
     draw, so the ensemble is the same bits for any blocking.
     """
     rng = _rng(config.seed)
-    n = config.n_paths
-    states = np.empty((len(config.t_grid), n), dtype=complex)
+    states = np.empty((len(config.t_grid), config.n_paths), dtype=complex)
     states[0] = config.x0
-    n_blocks = -(-n // _STEP_BLOCK)
-    bounds = [n * i // n_blocks for i in range(n_blocks + 1)]
-    blocks = list(zip(bounds, bounds[1:]))
+    blocks = _path_blocks(config.n_paths)
     for k, (steps, factor, amp) in enumerate(gaps, start=1):
         z, src = states[k], states[k - 1]
         for _ in range(steps):
@@ -194,6 +199,17 @@ def sample_euler(config: SimConfig) -> PathEnsemble:
     return _sample(config, [(steps, drift_step, amp) for steps in config.steps_per_gap()])
 
 
+def _abs_dev_sq(vals: np.ndarray, mean: complex) -> np.ndarray:
+    """|vals - mean|^2 of complex vals as a new float array, the bits of
+    ``np.abs(vals - mean) ** 2``.  The differences are taken one path block
+    (:func:`_path_blocks`) at a time, so no complex array of the full width is
+    formed: the scratch is the float result plus one block."""
+    out = np.empty(vals.size)
+    for lo, hi in _path_blocks(vals.size):
+        np.abs(vals[lo:hi] - mean, out=out[lo:hi])
+    return np.square(out, out=out)
+
+
 def _mean_and_se(vals: np.ndarray) -> tuple[complex, float]:
     """Sample mean and its total standard error sqrt(E|v - mean|^2 / n), with
     the unbiased variance estimate; the error is 0.0 for fewer than 2 samples."""
@@ -201,7 +217,7 @@ def _mean_and_se(vals: np.ndarray) -> tuple[complex, float]:
     mean = complex(vals.mean())
     if n < 2:
         return mean, 0.0
-    var = float(np.sum(np.abs(vals - mean) ** 2)) / (n - 1)
+    var = float(np.sum(_abs_dev_sq(vals, mean))) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
@@ -234,20 +250,26 @@ def _ks_normal(x: np.ndarray) -> float:
     With x sorted and Phi(x) = erfc(-x / sqrt(2)) / 2, it is the larger of
     max(i/n - Phi(x_i)) and max(Phi(x_i) - (i-1)/n) over i = 1..n: the widest
     gap between Phi and the empirical CDF on either side of each step.
-    numpy has no erfc, so math.erfc is mapped over the sorted sample, one
-    slice of :data:`_KS_SLICE` points at a time into one array, so no Python
-    float per point is alive at once.
+    numpy has no erfc, so math.erfc is mapped over the sorted sample one slice
+    of :data:`_KS_SLICE` points at a time, and both gaps are taken on that
+    slice, in one difference buffer, before the next: the sorted copy is the
+    only array of the full width, and no Python float per point is alive at
+    once.  A maximum is exact, so the slices' maxima give the whole sample's.
     """
     u = np.sort(x)
     n = u.size
     u /= -math.sqrt(2.0)  # -x / sqrt(2) to the bit, sign moved to the divisor
-    cdf = np.empty(n)
+    gap = np.empty(min(n, _KS_SLICE))
+    above, below = [], []
     for lo in range(0, n, _KS_SLICE):
         part = u[lo:lo + _KS_SLICE]
-        cdf[lo:lo + part.size] = np.fromiter(map(math.erfc, part.tolist()), float, part.size)
-    cdf *= 0.5
-    steps = np.arange(n + 1) / n
-    return float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
+        m = part.size
+        cdf = np.fromiter(map(math.erfc, part.tolist()), float, m)
+        cdf *= 0.5
+        steps = np.arange(lo, lo + m + 1) / n  # i/n for i = lo..lo + m
+        above.append(np.subtract(steps[1:], cdf, out=gap[:m]).max())
+        below.append(np.subtract(cdf, steps[:-1], out=gap[:m]).max())
+    return float(max(np.max(above), np.max(below)))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 import complexou
 from complexou import PolyZZbar, checks, cli, sde
 from complexou.cli import main
-from complexou.operator import GeneratorParams
+from complexou.operator import THETA_BOUND, GeneratorParams
 
 
 def run_cli(capsys, *argv):
@@ -349,6 +350,19 @@ class TestExitCodes:
             assert code == 2
             assert out == ""
             assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_angle_error_states_the_exact_bound(self, capsys):
+        # the bound is printed to the bit: --theta at the printed value runs,
+        # and the next float above it is the usage error that printed it
+        def eigen(theta):
+            return run_cli(capsys, "operator", "eigen", f"--theta={theta!r}", "--m", "1", "--n", "0")
+
+        code, out, err = eigen(math.nextafter(THETA_BOUND, 2))
+        assert code == 2
+        assert out == ""
+        stated = re.match(r"error: \|theta\| must be <= (\S+) ", err).group(1)
+        assert float(stated) == THETA_BOUND
+        assert eigen(float(stated))[0] == 0
 
     def test_expression_error(self, capsys):
         code, _, err = run_cli(capsys, "operator", "gamma", "--phi", "2z")

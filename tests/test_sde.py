@@ -476,6 +476,19 @@ class TestSdeMomentsReplay:
         assert report.details["bit_reproducible"] is False
         assert not report.passed
 
+    def test_last_mantissa_bit_of_last_state_is_caught(self, monkeypatch):
+        # the imaginary part of the last state is the last 8 bytes of the
+        # time-major buffer that the digest reads
+        def tamper(states):
+            last = states[-1, -1]
+            bits = np.float64(last.imag).view(np.uint64) ^ np.uint64(1)
+            states[-1, -1] = complex(last.real, bits.view(np.float64))
+            return states
+
+        report = self._run_with_replay(monkeypatch, tamper)
+        assert report.details["bit_reproducible"] is False
+        assert not report.passed
+
     def test_sign_of_zero_is_caught(self, monkeypatch):
         # equal values, different bytes: the check compares bytes, not values
         def tamper(states):
@@ -497,18 +510,28 @@ class TestBoundedMemory:
         ensemble = 3 * self.N * 16
         assert traced_peak(lambda: sample_exact(cfg)) <= ensemble + MB
 
-    def test_sde_moments_holds_two_ensembles(self):
-        # the first theta's ensemble and its replay; every later theta's
-        # ensemble is drawn after the one before it is freed
+    def test_sde_moments_holds_one_ensemble(self):
+        # one ensemble at a time (the replay is compared by digest), plus the
+        # float deviations of one recorded time and numpy's std scratch
         checks.check_sde_moments(n_paths=100)  # warm
         ensemble = 3 * self.N * 16
         peak = traced_peak(lambda: checks.check_sde_moments(n_paths=self.N))
-        assert peak <= 2 * ensemble + 2 * MB
+        assert peak <= ensemble + 2 * 8 * self.N + MB
+
+    def test_stationarity_holds_one_ensemble(self):
+        # the two-time ensemble, z*z for the second moment and its float
+        # deviations; no complex deviation array of the full width
+        stationarity_check(GeneratorParams(0.3), 100, None, SEED + 72)  # warm
+        args = (GeneratorParams(0.3), self.N, None, SEED + 72)
+        ensemble = 2 * self.N * 16
+        peak = traced_peak(lambda: stationarity_check(*args))
+        assert peak <= ensemble + 16 * self.N + 8 * self.N + MB
 
     def test_ks_normal_makes_no_python_float_per_point(self):
-        # a list of n Python floats would add 32 bytes a point, four float64
-        # arrays' worth; the statistic needs four such arrays
+        # the sorted copy is the one array of the full width: the CDF and the
+        # two gaps are taken one slice at a time (a list of n Python floats
+        # would add 32 bytes a point)
         n = 10**6
         x = np.random.default_rng(SEED + 71).standard_normal(n)
         sde._ks_normal(x[:10])  # warm
-        assert traced_peak(lambda: sde._ks_normal(x)) <= 5 * 8 * n + MB
+        assert traced_peak(lambda: sde._ks_normal(x)) <= 8 * n + MB
