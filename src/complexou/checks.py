@@ -27,7 +27,7 @@ from .operator import (
     chain_rule_sides,
     eigenvalue,
 )
-from .poly import PolyZZbar, PolyWWbar
+from .poly import PolyZZbar, PolyWWbar, _blocks
 from .quadrature import QuadratureRule, default_rule, gauss_hermite_rule, integrate_gamma
 from .semigroup import (
     PropagatorParams,
@@ -151,9 +151,9 @@ def _gram_residual(max_degree: int, rule: QuadratureRule) -> tuple[float, int]:
     """Worst entry of the Gram matrix of {J[m,n] : m+n <= max_degree} under
     the tensor rule minus the identity, and the basis size.
 
-    The basis rows are split into equal blocks, as ``PolyZZbar.eval`` splits
-    points, so one basis grid is held plus one block of it and that block's
-    Gram rows.  The rows of a block, (conj(J_i) w) @ J^T, are the exact
+    The basis rows are split into equal blocks by ``poly._blocks``, as
+    ``PolyZZbar.eval`` splits points, so one basis grid is held plus one
+    block of it and that block's Gram rows.  The rows of a block, (conj(J_i) w) @ J^T, are the exact
     conjugates of the rows of the one product (J w) @ conj(J)^T (a complex
     multiply-add rounds the same either sign), so every |G - I| entry is
     that product's.
@@ -162,9 +162,8 @@ def _gram_residual(max_degree: int, rule: QuadratureRule) -> tuple[float, int]:
     vals = hermite.basis_values(max_degree, pts)
     size = len(vals)
     n_blocks = max(1, min(_GRAM_BLOCKS, size // _GRAM_BLOCK_ROWS))
-    bounds = [size * i // n_blocks for i in range(n_blocks + 1)]
     worst = 0.0
-    for lo, hi in zip(bounds, bounds[1:]):
+    for lo, hi in _blocks(size, -(-size // n_blocks)):
         block = np.conjugate(vals[lo:hi])
         block *= wts
         gram = block @ vals.T
@@ -546,7 +545,7 @@ def _moment_deviations(z: np.ndarray, p: PropagatorParams, x0: complex) -> tuple
 
     dev_sq = sde._abs_dev_sq(z, z.mean())
     var_hat = float(dev_sq.sum()) / (n - 1)
-    var_se = sde._real_mean_and_se(dev_sq)[1]
+    var_se = sde._mean_and_se(dev_sq)[1]
     return mean_dev, abs(var_hat - 2.0 * p.noise_std**2) / var_se
 
 
@@ -565,10 +564,12 @@ def check_sde_moments(
     moments are taken, the SHA-256 digest of its bytes is kept and the
     ensemble freed, then the replay is drawn and its digest compared, so at
     most one ensemble is held at a time.
-    max_residual is the worst deviation in SE units; tol = 4.
+    max_residual is the worst deviation in SE units; tol = 4.  Needs 3 paths:
+    the two deviations |z - mean|^2 of 2 samples are equal, so their
+    standard error is 0.
     """
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be >= 2 for standard errors, got {n_paths}")
+    if n_paths < 3:
+        raise ValueError(f"n_paths must be >= 3 for the variance's standard error, got {n_paths}")
     worst = 0.0
     repro = True
     for i, theta in enumerate(thetas):
@@ -655,9 +656,10 @@ def check_sde_vs_mehler(
 
 
 def run_all(seed: int = DEFAULT_SEED, n_paths: int = 200000) -> list[CheckReport]:
-    """Run every suite with its documented defaults (the umbrella command)."""
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be >= 2 for standard errors, got {n_paths}")
+    """Run every suite with its documented defaults (the umbrella command);
+    n_paths must be at least 3, as :func:`check_sde_moments` needs."""
+    if n_paths < 3:
+        raise ValueError(f"n_paths must be >= 3 for the variance's standard error, got {n_paths}")
     return [
         check_quadrature(),
         check_orthonormality(),

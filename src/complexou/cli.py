@@ -32,6 +32,7 @@ from .operator import (
     carre_du_champ_via_generator,
     eigenvalue,
 )
+from .poly import _blocks
 from .semigroup import PropagatorParams, semigroup_spectral
 from .spectral import SpectralCoeffs
 
@@ -176,8 +177,8 @@ def _cmd_semigroup_verify_normal(cmd, args) -> dict:
 # -- sde -------------------------------------------------------------------------
 
 
-# Paths converted to Python floats at a time while writing the CSV, so memory
-# stays bounded for large ensembles.
+# Most paths converted to Python floats at a time while writing the CSV, so
+# memory stays bounded for large ensembles.
 _CSV_BLOCK_PATHS = 64
 
 
@@ -187,12 +188,12 @@ def _write_csv(path: str, ensemble: sde.PathEnsemble) -> None:
     t_reprs = [repr(float(t)) for t in ensemble.config.t_grid]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("path_id,t,re,im\r\n")
-        for start in range(0, ensemble.config.n_paths, _CSV_BLOCK_PATHS):
-            block = ensemble.states[start : start + _CSV_BLOCK_PATHS]
+        for lo, hi in _blocks(ensemble.config.n_paths, _CSV_BLOCK_PATHS):
+            block = ensemble.states[lo:hi]
             fh.writelines(
                 f"{i},{t},{re!r},{im!r}\r\n"
                 for i, row_re, row_im in zip(
-                    range(start, start + len(block)), block.real.tolist(), block.imag.tolist()
+                    range(lo, hi), block.real.tolist(), block.imag.tolist()
                 )
                 for t, re, im in zip(t_reprs, row_re, row_im)
             )

@@ -188,13 +188,23 @@ def _horner(rows: list, w: np.ndarray, wbar: np.ndarray, acc: np.ndarray,
     return acc
 
 
-# Most points per block of PolyZZbar.eval.  Each array a block's sweep touches
-# (its w, their conjugates, the accumulator and a row's value) is then at most
-# 256 KiB, 1 MiB together, which stays in a 2 MiB L2 cache through the sweep's
-# passes.  The points are split evenly, so no block is shorter than half of
-# this: numpy multiplies a one-element array in place through another loop,
-# which rounds differently.
-_EVAL_BLOCK = 16384
+# Most complex values per block of a sweep over points or paths
+# (PolyZZbar.eval, the samplers' steps and sde._abs_dev_sq).  Each array a
+# block touches is then at most 256 KiB: an evaluation's w, their conjugates,
+# the accumulator and a row's value stay in a 2 MiB L2 cache through the
+# sweep's passes, and a sampler step's scratch is one block's normals rather
+# than the whole width's.  The blocks are equal (:func:`_blocks`), so none is
+# shorter than half of this: numpy multiplies a one-element array in place
+# through another loop, which rounds differently.
+_BLOCK = 16384
+
+
+def _blocks(n: int, most: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of the fewest equal blocks of at most ``most`` items
+    that cover range(n) in order (sizes differ by at most one); none for
+    n = 0."""
+    k = -(-n // most)
+    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
 # Largest total degree m + n of the basis (the explicit J[m,n] formula and
@@ -460,9 +470,9 @@ class PolyZZbar(_Coeffs):
         and no addition, an all-zero row only the outer multiplication, and a
         row whose one nonzero coefficient is its first adds that scalar.
 
-        More than ``_EVAL_BLOCK`` points are split into equal blocks of at most
-        that many, swept one at a time, so the working buffers stay in cache
-        through every pass.  Each point sees the same operations either way,
+        More than ``_BLOCK`` points are split into equal blocks of at most
+        that many (:func:`_blocks`), swept one at a time, so the working
+        buffers stay in cache through every pass.  Each point sees the same operations either way,
         so the values are those of one sweep over all points.
         """
         scalar = np.isscalar(w) or isinstance(w, complex)
@@ -473,12 +483,9 @@ class PolyZZbar(_Coeffs):
         rows = c[::-1].tolist()
         flat = wv.ravel()
         out = np.empty(flat.size, dtype=complex)
-        n_blocks = max(1, -(-flat.size // _EVAL_BLOCK))
-        size = -(-flat.size // n_blocks)
-        wbar = np.empty(size, dtype=complex)
-        inner = np.empty(size, dtype=complex)
-        bounds = [flat.size * i // n_blocks for i in range(n_blocks + 1)]
-        for lo, hi in zip(bounds, bounds[1:]):
+        wbar = np.empty(min(flat.size, _BLOCK), dtype=complex)
+        inner = np.empty(min(flat.size, _BLOCK), dtype=complex)
+        for lo, hi in _blocks(flat.size, _BLOCK):
             n = hi - lo
             block = flat[lo:hi]
             _horner(rows, block, np.conjugate(block, out=wbar[:n]), out[lo:hi], inner[:n])

@@ -17,10 +17,10 @@ Two samplers over a common recording grid:
 
 Randomness comes from a counter-based Philox stream keyed by the seed; draws
 are issued in a fixed vectorized order: each time step draws its paths'
-normals block by block in path order (:data:`_STEP_BLOCK` paths at most),
-which is the same stream as one (n_paths, 2) draw per step.  So identical
-configs give bit-identical ensembles and distinct seeds give independent
-streams.
+normals block by block in path order (equal blocks of at most
+``poly._BLOCK`` paths), which is the same stream as one (n_paths, 2) draw
+per step.  So identical configs give bit-identical ensembles and distinct
+seeds give independent streams.
 
 Ensembles are stored time-major: both samplers fill one (T, n_paths) buffer
 row by row in one step loop (:func:`_sample`), each row from the previous, and
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import GeneratorParams
+from .poly import _BLOCK, _blocks
 from .quadrature import _eval_at
 from .semigroup import PropagatorParams
 
@@ -45,7 +46,7 @@ SCHEMES = ("exact", "euler")
 # KS acceptance threshold at the 1% level is 1.63/sqrt(n).
 KS_COEFF = 1.63
 
-# Points per slice that _ks_normal maps math.erfc over (one Python float each).
+# Most points per slice that _ks_normal maps math.erfc over (a Python float each).
 _KS_SLICE = 8192
 
 
@@ -136,22 +137,6 @@ def _advance(z, factor, src, amp, noise, kick) -> None:
     z += kick
 
 
-# Most paths per block of a sampler step, and of the deviations in
-# _abs_dev_sq.  Each block draws its own normals, so a step's scratch is one
-# block's (at most 256 KiB) rather than the whole width's.  The paths are
-# split evenly, as in PolyZZbar.eval, so no block is shorter than half of
-# this: numpy runs a one-element array through another loop.
-_STEP_BLOCK = 16384
-
-
-def _path_blocks(n: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of the fewest equal path blocks of at most
-    :data:`_STEP_BLOCK` paths that cover n paths in order."""
-    n_blocks = -(-n // _STEP_BLOCK)
-    bounds = [n * i // n_blocks for i in range(n_blocks + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
 def _sample(config: SimConfig, gaps) -> PathEnsemble:
     """Fill the time-major buffer from one (steps, factor, amp) per grid gap,
     then freeze it and wrap its (n_paths, T) transpose.
@@ -165,7 +150,7 @@ def _sample(config: SimConfig, gaps) -> PathEnsemble:
     rng = _rng(config.seed)
     states = np.empty((len(config.t_grid), config.n_paths), dtype=complex)
     states[0] = config.x0
-    blocks = _path_blocks(config.n_paths)
+    blocks = _blocks(config.n_paths, _BLOCK)
     for k, (steps, factor, amp) in enumerate(gaps, start=1):
         z, src = states[k], states[k - 1]
         for _ in range(steps):
@@ -200,38 +185,31 @@ def sample_euler(config: SimConfig) -> PathEnsemble:
 
 
 def _abs_dev_sq(vals: np.ndarray, mean: complex) -> np.ndarray:
-    """|vals - mean|^2 of complex vals as a new float array, the bits of
-    ``np.abs(vals - mean) ** 2``.  The differences are taken one path block
-    (:func:`_path_blocks`) at a time, so no complex array of the full width is
-    formed: the scratch is the float result plus one block."""
+    """|vals - mean|^2 of real or complex vals as a new float array, the bits
+    of ``np.abs(vals - mean) ** 2``.  The differences are taken one path block
+    (``poly._blocks``) at a time, so no deviation array of the full
+    width is formed: the scratch is the float result plus one block."""
     out = np.empty(vals.size)
-    for lo, hi in _path_blocks(vals.size):
+    for lo, hi in _blocks(vals.size, _BLOCK):
         np.abs(vals[lo:hi] - mean, out=out[lo:hi])
     return np.square(out, out=out)
 
 
-def _mean_and_se(vals: np.ndarray) -> tuple[complex, float]:
-    """Sample mean and its total standard error sqrt(E|v - mean|^2 / n), with
-    the unbiased variance estimate; the error is 0.0 for fewer than 2 samples."""
+def _mean_and_se(vals: np.ndarray) -> tuple[complex | float, float]:
+    """Sample mean of real or complex vals and its total standard error
+    sqrt(var / n), var = sum |v - mean|^2 / (n - 1) the unbiased variance
+    estimate; the error is 0.0 for fewer than 2 samples."""
     n = vals.size
-    mean = complex(vals.mean())
+    mean = vals.mean().item()
     if n < 2:
         return mean, 0.0
     var = float(np.sum(_abs_dev_sq(vals, mean))) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
-def _real_mean_and_se(vals: np.ndarray) -> tuple[float, float]:
-    """Sample mean of real values and its standard error, with the unbiased
-    variance estimate; the error is 0.0 for fewer than 2 samples."""
-    se = float(vals.std(ddof=1)) / math.sqrt(vals.size) if vals.size > 1 else 0.0
-    return float(vals.mean()), se
-
-
 def abs_second_moment(z: np.ndarray) -> tuple[float, float]:
-    """Sample mean of |z|^2 and its standard error, with the unbiased variance
-    estimate; the error is 0.0 for fewer than 2 samples."""
-    return _real_mean_and_se(np.abs(z) ** 2)
+    """Sample mean of |z|^2 and its standard error (:func:`_mean_and_se`)."""
+    return _mean_and_se(np.abs(z) ** 2)
 
 
 def estimate_pt(ensemble: PathEnsemble, phi, t_index: int) -> tuple[complex, float]:
@@ -241,7 +219,7 @@ def estimate_pt(ensemble: PathEnsemble, phi, t_index: int) -> tuple[complex, flo
     total one, sqrt(E|phi - mean|^2 / n) with the unbiased variance estimate,
     covering both real and imaginary coordinates jointly.
     """
-    return _mean_and_se(np.asarray(_eval_at(phi, ensemble.states[:, t_index]), dtype=complex))
+    return _mean_and_se(_eval_at(phi, ensemble.states[:, t_index]))
 
 
 def _ks_normal(x: np.ndarray) -> float:
@@ -250,23 +228,23 @@ def _ks_normal(x: np.ndarray) -> float:
     With x sorted and Phi(x) = erfc(-x / sqrt(2)) / 2, it is the larger of
     max(i/n - Phi(x_i)) and max(Phi(x_i) - (i-1)/n) over i = 1..n: the widest
     gap between Phi and the empirical CDF on either side of each step.
-    numpy has no erfc, so math.erfc is mapped over the sorted sample one slice
-    of :data:`_KS_SLICE` points at a time, and both gaps are taken on that
-    slice, in one difference buffer, before the next: the sorted copy is the
-    only array of the full width, and no Python float per point is alive at
-    once.  A maximum is exact, so the slices' maxima give the whole sample's.
+    numpy has no erfc, so math.erfc is mapped over the sorted sample one
+    slice of at most :data:`_KS_SLICE` points (``poly._blocks``) at a
+    time, and both gaps are taken on that slice, in one difference buffer,
+    before the next: the sorted copy is the only array of the full width, and
+    no Python float per point is alive at once.  A maximum is exact, so the
+    slices' maxima give the whole sample's.
     """
     u = np.sort(x)
     n = u.size
     u /= -math.sqrt(2.0)  # -x / sqrt(2) to the bit, sign moved to the divisor
     gap = np.empty(min(n, _KS_SLICE))
     above, below = [], []
-    for lo in range(0, n, _KS_SLICE):
-        part = u[lo:lo + _KS_SLICE]
-        m = part.size
-        cdf = np.fromiter(map(math.erfc, part.tolist()), float, m)
+    for lo, hi in _blocks(n, _KS_SLICE):
+        m = hi - lo
+        cdf = np.fromiter(map(math.erfc, u[lo:hi].tolist()), float, m)
         cdf *= 0.5
-        steps = np.arange(lo, lo + m + 1) / n  # i/n for i = lo..lo + m
+        steps = np.arange(lo, hi + 1) / n  # i/n for i = lo..hi
         above.append(np.subtract(steps[1:], cdf, out=gap[:m]).max())
         below.append(np.subtract(cdf, steps[:-1], out=gap[:m]).max())
     return float(max(np.max(above), np.max(below)))
@@ -331,7 +309,8 @@ def stationarity_check(
     config = SimConfig(
         params=params, x0=0j, t_grid=(0.0, float(t_burn)), n_paths=n_paths, seed=seed
     )
-    z = sample_exact(config).states[:, 1]
+    # a copy, so the ensemble's row 0 (all x0) is freed with its buffer
+    z = sample_exact(config).states[:, 1].copy()
 
     mean, mean_se = _mean_and_se(z)
     second, second_se = _mean_and_se(z * z)
@@ -416,6 +395,6 @@ def euler_halving_probe(
             _advance(z4, step4, z4, sigma, acc4, kick)
             acc4[:] = 0.0
 
-    coarse, coarse_se = _real_mean_and_se(np.abs(z4) ** 2 - np.abs(z2) ** 2)
-    fine, fine_se = _real_mean_and_se(np.abs(z2) ** 2 - np.abs(z1) ** 2)
+    coarse, coarse_se = _mean_and_se(np.abs(z4) ** 2 - np.abs(z2) ** 2)
+    fine, fine_se = _mean_and_se(np.abs(z2) ** 2 - np.abs(z1) ** 2)
     return HalvingReport(dt_fine, coarse, coarse_se, fine, fine_se)

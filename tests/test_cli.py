@@ -553,10 +553,13 @@ class TestExitCodes:
 
 
     def test_verify_all_needs_two_paths(self, capsys):
-        code, out, err = run_cli(capsys, "verify-all", "--paths", "1")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "n_paths" in err
+        # 3 in fact: the variance's standard error of 2 samples is 0
+        for paths in ("1", "2"):
+            code, out, err = run_cli(capsys, "verify-all", "--paths", paths)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "n_paths must be >= 3" in err
+            assert len(err.splitlines()) == 1
 
     def test_run_all_rejects_one_path_before_any_suite(self, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -571,6 +574,9 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "n_paths" in err
+        code, out, _ = run_cli(capsys, "sde", "stationarity", "--theta", "0.3", "--paths", "2")
+        assert code in (0, 1)
+        assert parse_envelope(out)["inputs"]["paths"] == 2
 
     @pytest.mark.parametrize(
         "content",

@@ -203,10 +203,10 @@ class TestEvaluation:
 
 
 class TestBlockedEvaluation:
-    """More than _EVAL_BLOCK points are evaluated block by block, with the
+    """More than _BLOCK points are evaluated block by block, with the
     bits of one sweep over all of them."""
 
-    B = poly_module._EVAL_BLOCK
+    B = poly_module._BLOCK
 
     @staticmethod
     def polys():
@@ -217,7 +217,7 @@ class TestBlockedEvaluation:
     @staticmethod
     def one_sweep(p, w, monkeypatch):
         with monkeypatch.context() as m:
-            m.setattr(poly_module, "_EVAL_BLOCK", np.iinfo(np.int64).max)
+            m.setattr(poly_module, "_BLOCK", np.iinfo(np.int64).max)
             return p.eval(w)
 
     @pytest.mark.parametrize("n_points", [B - 1, B, B + 1, 2 * B + 3])
@@ -244,6 +244,22 @@ class TestBlockedEvaluation:
             got = p.eval(0.7 - 1.3j)
             assert type(got) is complex
             assert got == self.one_sweep(p, 0.7 - 1.3j, monkeypatch)
+
+
+class TestBlocks:
+    """The one block rule of every sweep: the fewest equal blocks of at most
+    ``most`` items, in order."""
+
+    MOST = 7
+
+    @pytest.mark.parametrize("n", [0, 1, MOST, MOST + 1, 2 * MOST + 3])
+    def test_fewest_equal_blocks_cover_the_range(self, n):
+        blocks = poly_module._blocks(n, self.MOST)
+        assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(n))
+        sizes = [hi - lo for lo, hi in blocks]
+        assert len(blocks) == -(-n // self.MOST)
+        assert all(0 < size <= self.MOST for size in sizes)
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
 
 
 class TestOuterPolynomials:

@@ -184,6 +184,31 @@ class TestEstimatePt:
             assert abs(mean - ref) <= 4.0 * se
 
 
+class TestMeanAndSe:
+    """One estimator for real and complex samples: the mean and
+    sqrt(var / n), var = sum |v - mean|^2 / (n - 1)."""
+
+    SIZES = [1, 2, 3, 1000, 16385, 40001]  # one, two and three path blocks
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_real_samples_match_sample_std_within_one_ulp(self, n):
+        vals = np.random.default_rng(SEED + n).standard_normal(n) ** 2
+        mean, se = sde._mean_and_se(vals)
+        assert type(mean) is float and mean == float(vals.mean())
+        want = float(vals.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+        assert abs(se - want) <= math.ulp(want)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_complex_samples_keep_their_bits(self, n):
+        rng = np.random.default_rng(SEED + n)
+        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        mean = complex(vals.mean())
+        var = float(np.sum(np.abs(vals - mean) ** 2)) / (n - 1) if n > 1 else 0.0
+        got = sde._mean_and_se(vals)
+        assert type(got[0]) is complex
+        assert repr(got) == repr((mean, math.sqrt(var / n)))
+
+
 class TestStationarity:
     def test_long_run_matches_gaussian(self):
         report = stationarity_check(GeneratorParams(0.3), 50_000, 16.0, SEED + 20)
@@ -359,9 +384,9 @@ def reference_halving(params, x0, t, dt_fine, n_paths, seed):
     return sde.HalvingReport(
         dt_fine=dt_fine,
         diff_coarse=float(d_coarse.mean()),
-        diff_coarse_se=float(d_coarse.std(ddof=1)) / math.sqrt(n_paths),
+        diff_coarse_se=math.sqrt(float(d_coarse.var(ddof=1)) / n_paths),
         diff_fine=float(d_fine.mean()),
-        diff_fine_se=float(d_fine.std(ddof=1)) / math.sqrt(n_paths),
+        diff_fine_se=math.sqrt(float(d_fine.var(ddof=1)) / n_paths),
     )
 
 
@@ -519,13 +544,14 @@ class TestBoundedMemory:
         assert peak <= ensemble + 2 * 8 * self.N + MB
 
     def test_stationarity_holds_one_ensemble(self):
-        # the two-time ensemble, z*z for the second moment and its float
-        # deviations; no complex deviation array of the full width
+        # the two-time ensemble while its last row is copied out; after it is
+        # freed, z, z*z for the second moment and its float deviations are
+        # less, with no complex deviation array of the full width
         stationarity_check(GeneratorParams(0.3), 100, None, SEED + 72)  # warm
         args = (GeneratorParams(0.3), self.N, None, SEED + 72)
         ensemble = 2 * self.N * 16
         peak = traced_peak(lambda: stationarity_check(*args))
-        assert peak <= ensemble + 16 * self.N + 8 * self.N + MB
+        assert peak <= ensemble + 16 * self.N + MB
 
     def test_ks_normal_makes_no_python_float_per_point(self):
         # the sorted copy is the one array of the full width: the CDF and the
