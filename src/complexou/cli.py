@@ -248,7 +248,7 @@ def _cmd_sde_simulate(cmd, args) -> dict:
 
 def _cmd_sde_stationarity(cmd, args) -> dict:
     rep = sde.stationarity_check(GeneratorParams(args.theta), args.paths, args.t_burn, args.seed)
-    tol = checks.STATIONARITY_TOL if args.tol is None else args.tol
+    tol = sde.STATIONARITY_TOL if args.tol is None else args.tol
     return _envelope(
         cmd,
         {"theta": args.theta, "paths": args.paths, "t_burn": rep.t_burn, "tol": tol},

@@ -45,9 +45,20 @@ SCHEMES = ("exact", "euler")
 
 # KS acceptance threshold at the 1% level is 1.63/sqrt(n).
 KS_COEFF = 1.63
+# Width of every Monte Carlo band, in standard errors.
+BAND_SE = 4.0
+# Tolerance of StationarityReport.max_ratio (the sde stationarity default --tol).
+STATIONARITY_TOL = 1.0
+_SEEDS = 2**64  # seeds are 64-bit unsigned integers
 
 # Most points per slice that _ks_normal maps math.erfc over (a Python float each).
 _KS_SLICE = 8192
+
+
+def _check_seed(seed: int) -> None:
+    """ValueError unless seed is a 64-bit unsigned integer."""
+    if not 0 <= int(seed) < _SEEDS:
+        raise ValueError("seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -77,8 +88,7 @@ class SimConfig:
             raise ValueError("t_grid must be strictly increasing")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _check_seed(self.seed)
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.scheme == "euler":
@@ -273,13 +283,13 @@ class StationarityReport:
 
     @property
     def max_ratio(self) -> float:
-        """The worst of each moment's deviation over 4 SE and each KS statistic
-        over the threshold: the check's residual against tolerance 1."""
+        """The worst of each moment's deviation over BAND_SE SE and each KS
+        statistic over the threshold: the residual against STATIONARITY_TOL."""
         return float(
             max(
-                abs(self.mean) / (4.0 * self.mean_se),
-                abs(self.second_moment) / (4.0 * self.second_moment_se),
-                abs(self.abs_second_moment - 2.0) / (4.0 * self.abs_second_moment_se),
+                abs(self.mean) / (BAND_SE * self.mean_se),
+                abs(self.second_moment) / (BAND_SE * self.second_moment_se),
+                abs(self.abs_second_moment - 2.0) / (BAND_SE * self.abs_second_moment_se),
                 self.ks_real / self.ks_threshold,
                 self.ks_imag / self.ks_threshold,
             )
@@ -287,8 +297,8 @@ class StationarityReport:
 
     @property
     def passed(self) -> bool:
-        """Every moment within 4 SE and both KS statistics within the threshold."""
-        return self.max_ratio <= 1.0
+        """Every moment within BAND_SE SE and both KS statistics within the threshold."""
+        return self.max_ratio <= STATIONARITY_TOL
 
 
 def stationarity_check(

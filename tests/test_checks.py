@@ -1,9 +1,12 @@
 """The random inputs of the verification suites: each generator draws its
 coefficients as one block and must give what one scalar draw per part gives.
 The orthonormality Gram matrix, taken in row blocks, gives the residual of one
-product bit for bit and holds one basis grid."""
+product bit for bit and holds one basis grid.  The suites' shared rules (the
+report verdict, the (theta, t) grid, the exact-sampler runs) and the order in
+which run_all calls each suite through its module attribute."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -62,6 +65,8 @@ def test_report_requires_residual_and_tol():
         checks.CheckReport("suite", True)
     report = checks.CheckReport.within("suite", 0.5, 1.0, {})
     assert report.to_json_obj() == {"name": "suite", "pass": True, "max_residual": 0.5, "tol": 1.0}
+    # a suite's extra condition fails the report at any residual
+    assert checks.CheckReport.within("suite", 0.0, 1.0, {}, ok=False).passed is False
 
 
 def one_product_residual(max_degree, rule):
@@ -98,3 +103,80 @@ class TestGramResidual:
         grid = 561 * 34**2 * 16
         peak = traced_peak(lambda: checks.check_orthonormality(32, order=34))
         assert peak <= grid + grid // 4 + MB
+
+
+def test_propagators_are_theta_major():
+    thetas, ts = (0.0, math.pi / 4, -0.3), (0.1, 2.0)
+    got = [(p.params.theta, p.t) for p in checks._propagators(thetas, ts)]
+    assert got == [(theta, t) for theta in thetas for t in ts]
+
+
+class TestExactRuns:
+    THETAS = (0.0, math.pi / 4, -math.pi / 6)
+
+    def test_grid_and_seeds(self):
+        runs = checks._exact_runs(self.THETAS, (0.5, 2.0), 1 + 0.5j, 7, 41)
+        assert [c.params.theta for c in runs] == list(self.THETAS)
+        assert all(c.t_grid == (0.0, 0.5, 2.0) for c in runs)
+        assert all(c.x0 == 1 + 0.5j and c.n_paths == 7 for c in runs)
+        assert [c.seed for c in runs] == [41, 42, 43]
+
+    @pytest.mark.parametrize("seed, want", [
+        (2**64 - 3, [2**64 - 3, 2**64 - 2, 2**64 - 1]),
+        (2**64 - 2, [2**64 - 2, 2**64 - 1, 0]),
+        (2**64 - 1, [2**64 - 1, 0, 1]),
+    ])
+    def test_seeds_wrap_at_the_top_of_the_range(self, seed, want):
+        runs = checks._exact_runs(self.THETAS, (1.0,), 0j, 3, seed)
+        assert [c.seed for c in runs] == want
+
+    @pytest.mark.parametrize("seed", [-1, -3, 2**64, 2**64 + 1])
+    def test_seed_out_of_range_raises(self, seed):
+        with pytest.raises(ValueError, match="64-bit"):
+            checks._exact_runs(self.THETAS, (1.0,), 0j, 3, seed)
+        with pytest.raises(ValueError, match="64-bit"):
+            checks.check_sde_moments(n_paths=3, seed=seed)
+
+
+# every suite in report order, with the keywords run_all passes it (seed=5,
+# n_paths=250000)
+RUN_ALL_CALLS = [
+    ("check_quadrature", {}),
+    ("check_orthonormality", {}),
+    ("check_eigenrelation", {}),
+    ("check_transform", {}),
+    ("check_construction", {}),
+    ("check_roundtrip", {}),
+    ("check_operator_normality", {"seed": 5}),
+    ("check_gamma", {"seed": 5}),
+    ("check_chain_rule", {"seed": 5}),
+    ("check_spectral_vs_mehler", {"seed": 5}),
+    ("check_semigroup_normality", {"seed": 5}),
+    ("check_adjoint", {"seed": 5}),
+    ("check_invariance", {"seed": 5}),
+    ("check_ergodicity", {"seed": 5}),
+    ("check_rotation_invariance", {"seed": 5}),
+    ("check_sde_moments", {"n_paths": 250000, "seed": 5}),
+    ("check_stationarity", {"n_paths": 250000, "seed": 5}),
+    ("check_sde_vs_mehler", {"n_paths": 100000, "seed": 5}),
+]
+
+
+def test_run_all_calls_each_suite_through_its_attribute(monkeypatch):
+    # timers and tracers rebind these attributes, so run_all must look each
+    # suite up on the module when it runs
+    calls = []
+
+    def recorder(name):
+        def record(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return checks.CheckReport.within(name, 0.0, 1.0, {})
+        return record
+
+    suites = [name for name in vars(checks) if name.startswith("check_")]
+    assert sorted(suites) == sorted(name for name, _ in RUN_ALL_CALLS)
+    for name in suites:
+        monkeypatch.setattr(checks, name, recorder(name))
+    reports = checks.run_all(seed=5, n_paths=250000)
+    assert calls == [(name, (), kwargs) for name, kwargs in RUN_ALL_CALLS]
+    assert [r.name for r in reports] == [name for name, _ in RUN_ALL_CALLS]

@@ -569,6 +569,32 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="n_paths"):
             checks.run_all(n_paths=1)
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_verify_all_rejects_a_seed_out_of_range_before_any_suite(
+        self, capsys, monkeypatch, seed
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a suite ran before the seed was validated")
+
+        for name in vars(checks).copy():
+            if name.startswith("check_"):
+                monkeypatch.setattr(checks, name, must_not_run)
+        code, out, err = run_cli(capsys, "verify-all", "--paths", "3", "--seed", seed)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "64-bit" in err
+        assert len(err.splitlines()) == 1
+
+    def test_verify_all_takes_the_largest_seed(self, capsys):
+        # the Monte Carlo suites seed angle i with seed + i, wrapped past 2^64 - 1
+        code, out, _ = run_cli(
+            capsys, "verify-all", "--paths", "3", "--seed", "18446744073709551615"
+        )
+        assert code in (0, 1)
+        env = parse_envelope(out)
+        assert env["seed"] == 2**64 - 1
+        assert len(env["results"]["suites"]) == 18
+
     def test_stationarity_needs_two_paths(self, capsys):
         code, out, err = run_cli(capsys, "sde", "stationarity", "--theta", "0.3", "--paths", "1")
         assert code == 2
