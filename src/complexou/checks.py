@@ -278,7 +278,7 @@ def check_gamma(
     Coefficientwise agreement over random pairs with theta cycling through the
     grid; then Gamma(phi, phi) evaluated at random points must stay >= -1e-12.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(sde._check_seed(seed))
     worst = 0.0
     for k in range(n_pairs):
         params = GeneratorParams(thetas[k % len(thetas)])
@@ -317,7 +317,7 @@ def check_chain_rule(
 ) -> CheckReport:
     """Second-order chain rule residual, scaled by 1 + max coefficient of the
     left side, over random (F, phi_vec) with one or two slots."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(sde._check_seed(seed))
     worst = 0.0
     for k in range(n_cases):
         params = GeneratorParams(thetas[k % len(thetas)])
@@ -335,7 +335,7 @@ def check_operator_normality(
     max_degree: int = 6, thetas: tuple[float, ...] = THETA_WIDE, seed: int = DEFAULT_SEED
 ) -> CheckReport:
     """L L* = L* L coefficientwise on random polynomials (generator level)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(sde._check_seed(seed))
     worst = 0.0
     for theta in thetas:
         params = GeneratorParams(theta)
@@ -369,7 +369,7 @@ def check_spectral_vs_mehler(
 
     Residual |spectral - mehler| / (1 + |spectral|) at random points.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(sde._check_seed(seed))
     rule = default_rule(max_degree)
     worst = 0.0
     for p in _propagators(thetas, ts):
@@ -399,7 +399,7 @@ def check_semigroup_normality(
     Residuals max(|lhs-rhs|, |lhs-fused|) / (1 + |lhs|) over every monomial of
     total degree <= max_degree, the (theta, t) grid, and random points.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(sde._check_seed(seed))
     pts = random_points(rng, n_points)
     rule = default_rule(max_degree)
     worst = 0.0
@@ -424,7 +424,7 @@ def check_adjoint(
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """|<P_t^theta phi, psi> - <phi, P_t^{-theta} psi>| on random basis expansions."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(sde._check_seed(seed))
     rule = default_rule(2 * max_degree)
     worst = 0.0
     for p in _propagators(thetas, ts):
@@ -448,7 +448,7 @@ def check_invariance(
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Invariance of gamma: double quadrature of P_t phi vs the gamma-mean of phi."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(sde._check_seed(seed))
     rule = default_rule(max_degree)
     worst = 0.0
     for p in _propagators(thetas, ts):
@@ -472,7 +472,7 @@ def check_ergodicity(
     max_residual is the worst ratio residual / envelope, where the envelope
     carries a relative 1e-9 and absolute 1e-10 float allowance; tol = 1.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(sde._check_seed(seed))
     rule = default_rule(max_degree)
     worst = 0.0
     for theta in thetas:
@@ -499,7 +499,7 @@ def check_rotation_invariance(
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Unitary mixing invariance of gamma x gamma used by the adjoint proof."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(sde._check_seed(seed))
     rule = default_rule(max_degree)
     worst = 0.0
     for p in _propagators(thetas, ts):
@@ -531,7 +531,7 @@ def _exact_runs(
 ) -> list[sde.SimConfig]:
     """One exact-sampler run per angle, started at x0 and recorded at 0 and ts.
     Angle i is seeded seed + i, wrapped past 2^64 - 1 (a seed out of range raises)."""
-    sde._check_seed(seed)
+    seed = sde._check_seed(seed)
     grid = (0.0,) + tuple(ts)
     return [
         sde.SimConfig(GeneratorParams(theta), x0, grid, n_paths, (seed + i) % sde._SEEDS)
@@ -624,7 +624,7 @@ def check_sde_vs_mehler(
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Monte Carlo P_t phi(x0) vs Mehler quadrature within 4 SE for random phi."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(sde._check_seed(seed))
     rule = default_rule(max_degree)
     worst = 0.0
     for config in _exact_runs(thetas, ts, x0, n_paths, seed):

@@ -125,14 +125,10 @@ class _Parser:
         return result
 
     def factor(self) -> PolyZZbar:
-        sign = 1.0
-        while True:
-            op = self._accept_op("+", "-")
-            if op is None:
-                break
-            if op == "-":
-                sign = -sign
-        return self.power() * sign if sign < 0 else self.power()
+        negate = False
+        while (op := self._accept_op("+", "-")) is not None:
+            negate ^= op == "-"
+        return -self.power() if negate else self.power()
 
     def power(self) -> PolyZZbar:
         result = self.atom()

@@ -41,8 +41,10 @@ module-level array helpers (``_sum``, ``_times``, ``_wrap``) serve both;
 compositions and basis sums.
 
 Ops act on the nonzero entries only (one masked ufunc call), so the zeros
-stay +0.  A difference is one masked ``np.subtract``: IEEE ``x - y`` is
-exactly ``x + (-y)``, so it has the bits of adding the negation.
+stay +0.  Every coefficient array has one negation, ``_on_nonzero(np.negative,
+c)``, and one difference, ``_sum(x, y, np.subtract)``, which ``s - p`` for a
+scalar s reaches as ``PolyZZbar.constant(s) - p``: IEEE ``x - y`` is exactly
+``x + (-y)``, so a difference has the bits of adding the negation.
 :func:`_trim` tests corner entries before it counts or scans.
 
 :class:`PolyWWbar` generalizes to n complex slots (w_1, wbar_1, ..., w_n,
@@ -409,7 +411,7 @@ class PolyZZbar(_Coeffs):
         return _wrap(PolyZZbar, _sum(self._c, other._c, np.subtract))
 
     def __rsub__(self, other: Scalar) -> "PolyZZbar":
-        return (-self) + other
+        return PolyZZbar.constant(other) - self
 
     def __mul__(self, other: "PolyZZbar" | Scalar) -> "PolyZZbar":
         if isinstance(other, (int, float, complex)):

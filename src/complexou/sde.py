@@ -55,10 +55,13 @@ _SEEDS = 2**64  # seeds are 64-bit unsigned integers
 _KS_SLICE = 8192
 
 
-def _check_seed(seed: int) -> None:
-    """ValueError unless seed is a 64-bit unsigned integer."""
-    if not 0 <= int(seed) < _SEEDS:
+def _check_seed(seed: int) -> int:
+    """The seed as an int, the one value every generator is built from;
+    ValueError unless it is a 64-bit unsigned integer."""
+    seed = int(seed)
+    if not 0 <= seed < _SEEDS:
         raise ValueError("seed must be a 64-bit unsigned integer")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ class PathEnsemble:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
 
 
 def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:

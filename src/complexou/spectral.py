@@ -2,8 +2,9 @@
 
 A function f with finite expansion f = sum b[m,n] * J[m,n] is carried as one
 2-D complex array whose entry ``[m, n]`` is b[m,n]: like
-:class:`~.poly.PolyZZbar`, a :class:`~.poly._Coeffs`, summed by the same array
-helpers and trimmed so that its last row and column each hold a nonzero entry
+:class:`~.poly.PolyZZbar`, a :class:`~.poly._Coeffs`, summed, differenced
+and scaled by the same array helpers (``poly._sum``, ``poly._times``), and
+trimmed so that its last row and column each hold a nonzero entry
 (the zero expansion has shape (0, 0)), read-only, compared exactly.  Because
 the basis is orthonormal, Parseval gives ``norm_sq() == sum |b[m,n]|**2`` for
 the squared L2(gamma) norm, and an operator that is diagonal in the basis is
@@ -47,7 +48,9 @@ class SpectralCoeffs(_Coeffs):
         return _wrap(SpectralCoeffs, _sum(self._c, other._c))
 
     def __sub__(self, other: "SpectralCoeffs") -> "SpectralCoeffs":
-        return self + (other * -1.0)
+        if not isinstance(other, SpectralCoeffs):
+            return NotImplemented
+        return _wrap(SpectralCoeffs, _sum(self._c, other._c, np.subtract))
 
     def __mul__(self, scalar: Scalar) -> "SpectralCoeffs":
         return _wrap(SpectralCoeffs, _times(self._c, complex(scalar)))

@@ -2,9 +2,11 @@
 coefficients as one block and must give what one scalar draw per part gives.
 The orthonormality Gram matrix, taken in row blocks, gives the residual of one
 product bit for bit and holds one basis grid.  The suites' shared rules (the
-report verdict, the (theta, t) grid, the exact-sampler runs) and the order in
-which run_all calls each suite through its module attribute."""
+report verdict, the (theta, t) grid, the exact-sampler runs, the seed range)
+and the order in which run_all calls each suite through its module
+attribute."""
 
+import inspect
 import itertools
 import math
 
@@ -136,6 +138,21 @@ class TestExactRuns:
             checks._exact_runs(self.THETAS, (1.0,), 0j, 3, seed)
         with pytest.raises(ValueError, match="64-bit"):
             checks.check_sde_moments(n_paths=3, seed=seed)
+
+
+SEEDED_SUITES = [
+    name for name, fn in vars(checks).items()
+    if name.startswith("check_") and "seed" in inspect.signature(fn).parameters
+]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("name", SEEDED_SUITES)
+def test_every_seeded_suite_rejects_a_seed_out_of_range(name, seed):
+    # np.random.default_rng alone would take 2**64 and word -1 its own way
+    assert len(SEEDED_SUITES) == 12
+    with pytest.raises(ValueError, match="64-bit"):
+        getattr(checks, name)(seed=seed)
 
 
 # every suite in report order, with the keywords run_all passes it (seed=5,

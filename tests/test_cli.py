@@ -595,6 +595,34 @@ class TestExitCodes:
         assert env["seed"] == 2**64 - 1
         assert len(env["results"]["suites"]) == 18
 
+    # a value for each required option of a seeded command
+    SEEDED_REQUIRED = {"--theta": ["0.3"], "--t": ["1.0"], "--paths": ["3"]}
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    @pytest.mark.parametrize(
+        "cmd", [c for c in cli.COMMANDS if c.seed], ids=lambda c: " ".join(c.words)
+    )
+    def test_every_seeded_command_rejects_a_seed_out_of_range(self, capsys, cmd, seed):
+        # the suites draw with np.random.default_rng, which takes any
+        # non-negative integer, so sde._check_seed must see every seed first
+        argv = list(cmd.words)
+        for flag, kwargs in cmd.options:
+            if kwargs.get("required"):
+                argv += [flag, *self.SEEDED_REQUIRED[flag]]
+        code, out, err = run_cli(capsys, *argv, "--seed", seed)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be a 64-bit unsigned integer\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("operator", "normality", "--theta", "0.3", "--degree", "2"),
+        ("sde", "simulate", "--theta", "0.3", "--t", "1.0", "--paths", "3"),
+    ])
+    def test_seeded_commands_take_the_largest_seed(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--seed", str(2**64 - 1))
+        assert code in (0, 1)
+        assert parse_envelope(out)["seed"] == 2**64 - 1
+
     def test_stationarity_needs_two_paths(self, capsys):
         code, out, err = run_cli(capsys, "sde", "stationarity", "--theta", "0.3", "--paths", "1")
         assert code == 2

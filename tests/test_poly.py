@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexou import PolyWWbar, PolyZZbar, complex_hermite, compose, gauss_hermite_rule
+from complexou import (
+    PolyWWbar,
+    PolyZZbar,
+    SpectralCoeffs,
+    complex_hermite,
+    compose,
+    gauss_hermite_rule,
+    parse_poly,
+)
 from complexou import poly as poly_module
 from complexou.poly import MonomialTable, _trim, _wrap
 from complexou.spectral import MAX_TOTAL_DEGREE
@@ -773,6 +781,20 @@ def signed_polys(max_exponent=4, max_terms=10):
     return st.dictionaries(keys, signed_coeffs, max_size=max_terms).map(PolyZZbar)
 
 
+def literal(p):
+    """p's terms as a polynomial literal; a part with its sign bit set is
+    written with a unary minus, so -0.0 reads back as -(0.0)."""
+
+    def number(x):
+        return f"-{-x!r}" if np.signbit(x) else repr(x)
+
+    terms = [
+        f"({number(c.real)} + {number(c.imag)}*i)*z^{a}*zbar^{b}"
+        for (a, b), c in p.terms.items()
+    ]
+    return " + ".join(terms) or "0"
+
+
 def corner_arrays():
     """Small complex arrays, mostly zero, so that corners, last rows and last
     columns are zero or nonzero in every combination.  Zero entries may carry
@@ -799,7 +821,11 @@ class TestKernelBits:
         pairs = ((p, q), (q, p), (p, p), (p, p + q), (PolyZZbar.zero(), p), (p, p * q), (x, y), (y, x))
         for x, y in pairs:
             assert_same_bits((x - y)._c, reference_difference(x, y))
+            # basis expansions of the same arrays take the same difference
+            f, g = (_wrap(SpectralCoeffs, c._c) for c in (x, y))
+            assert_same_bits((f - g)._c, (x - y)._c)
         assert_same_bits((p - s)._c, reference_sum(p._c, PolyZZbar.constant(-s)._c))
+        assert_same_bits((s - p)._c, (PolyZZbar.constant(s) - p)._c)
 
     def test_difference_keeps_signed_zeros_of_adding_the_negation(self):
         p = PolyZZbar({(0, 0): complex(2.0, -0.0), (1, 0): complex(1.0, -0.0)})
@@ -867,6 +893,9 @@ class TestKernelBits:
     @given(signed_polys(), signed_coeffs)
     def test_unary_ops_match_the_masked_reference(self, p, s):
         assert_same_bits((-p)._c, reference_on_nonzero(np.negative, p._c))
+        # the literal's unary minus is the same negation
+        text = literal(p)
+        assert_same_bits(parse_poly(f"-({text})")._c, (-parse_poly(text))._c)
         assert_same_bits(p.conjugate()._c, reference_on_nonzero(np.conjugate, p._c.T))
         assert_same_bits((p * s)._c, reference_trim(reference_on_nonzero(np.multiply, p._c, s)))
         c = p._c

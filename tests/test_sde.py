@@ -273,6 +273,12 @@ class TestEulerWeakConvergence:
         with pytest.raises(ValueError, match="n_paths must be >= 2 for standard errors, got 1"):
             euler_halving_probe(GeneratorParams(0.3), 1.0, 1.0, 0.25, 1, SEED)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_raises(self, seed):
+        # the probe builds its own Philox generator, with no SimConfig to check
+        with pytest.raises(ValueError, match="64-bit"):
+            euler_halving_probe(GeneratorParams(0.3), 1.0, 1.0, 0.25, 2, seed)
+
 
 class TestEulerRecursion:
     THETA, X0, T = math.pi / 4, 1.0 + 0.5j, 1.0
