@@ -32,6 +32,7 @@ one recorded time, what every estimator reads) is contiguous memory, while
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +58,10 @@ _KS_SLICE = 8192
 
 def _check_seed(seed: int) -> int:
     """The seed as an int, the one value every generator is built from;
-    ValueError unless it is a 64-bit unsigned integer."""
-    seed = int(seed)
-    if not 0 <= seed < _SEEDS:
+    ValueError unless it is a 64-bit unsigned integer (a float is not)."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < _SEEDS):
         raise ValueError("seed must be a 64-bit unsigned integer")
-    return seed
+    return int(seed)
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,7 @@ class TestExactRuns:
         runs = checks._exact_runs(self.THETAS, (1.0,), 0j, 3, seed)
         assert [c.seed for c in runs] == want
 
-    @pytest.mark.parametrize("seed", [-1, -3, 2**64, 2**64 + 1])
+    @pytest.mark.parametrize("seed", [-1, -3, 2**64, 2**64 + 1, 1.5])
     def test_seed_out_of_range_raises(self, seed):
         with pytest.raises(ValueError, match="64-bit"):
             checks._exact_runs(self.THETAS, (1.0,), 0j, 3, seed)
@@ -146,10 +146,11 @@ SEEDED_SUITES = [
 ]
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
 @pytest.mark.parametrize("name", SEEDED_SUITES)
 def test_every_seeded_suite_rejects_a_seed_out_of_range(name, seed):
-    # np.random.default_rng alone would take 2**64 and word -1 its own way
+    # np.random.default_rng alone would take 2**64 and word -1 and 1.5 its own
+    # way; int(1.5) would silently run as seed 1
     assert len(SEEDED_SUITES) == 12
     with pytest.raises(ValueError, match="64-bit"):
         getattr(checks, name)(seed=seed)

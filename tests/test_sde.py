@@ -60,6 +60,11 @@ class TestSimConfig:
             SimConfig(GeneratorParams(0.0), 1.0, (0.0, 1.0), 0, SEED)
         with pytest.raises(ValueError):
             SimConfig(GeneratorParams(0.0), 1.0, (0.0, 1.0), 10, -1)
+        # a float seed is not truncated to an int
+        with pytest.raises(ValueError, match="64-bit"):
+            SimConfig(GeneratorParams(0.0), 1.0, (0.0, 1.0), 10, 1.5)
+        cfg = SimConfig(GeneratorParams(0.0), 1.0, (0.0, 1.0), 10, np.uint64(2**64 - 1))
+        assert int(cfg.seed) == 2**64 - 1
 
     def test_steps_per_gap_exact_scheme_rejected(self):
         cfg = SimConfig(GeneratorParams(0.0), 1.0, (0.0, 1.0), 10, SEED)
@@ -273,7 +278,7 @@ class TestEulerWeakConvergence:
         with pytest.raises(ValueError, match="n_paths must be >= 2 for standard errors, got 1"):
             euler_halving_probe(GeneratorParams(0.3), 1.0, 1.0, 0.25, 1, SEED)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
     def test_seed_out_of_range_raises(self, seed):
         # the probe builds its own Philox generator, with no SimConfig to check
         with pytest.raises(ValueError, match="64-bit"):
