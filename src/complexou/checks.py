@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -515,17 +516,6 @@ def check_rotation_invariance(
 # -- sde suites -----------------------------------------------------------------
 
 
-def _digest(states: np.ndarray) -> tuple:
-    """Shape, dtype and SHA-256 of every byte of an ensemble's states, signed
-    zeros included.  The bytes are read from ``states.T``, the samplers'
-    frozen, C-contiguous time-major buffer, so nothing is copied."""
-    # imported here, not with the module: hashlib loads OpenSSL, about 8 ms of
-    # CPU that every command would pay at import and only this suite uses
-    import hashlib
-
-    return states.shape, states.dtype, hashlib.sha256(np.ascontiguousarray(states.T)).digest()
-
-
 def _exact_runs(
     thetas: tuple[float, ...], ts: tuple[float, ...], x0: complex, n_paths: int, seed: int
 ) -> list[sde.SimConfig]:
@@ -548,7 +538,7 @@ def _moment_deviations(z: np.ndarray, p: PropagatorParams, x0: complex) -> tuple
 
     dev_sq = sde._abs_dev_sq(z, z.mean())
     var_hat = float(dev_sq.sum()) / (n - 1)
-    var_se = sde._mean_and_se(dev_sq)[1]
+    var_se = sde._mean_and_se(dev_sq, out=dev_sq)[1]  # dev_sq's last use
     return mean_dev, abs(var_hat - 2.0 * p.noise_std**2) / var_se
 
 
@@ -562,29 +552,39 @@ def check_sde_moments(
     """Exact-sampler mean and variance vs the transition law, within 4 SE.
 
     Mean target e^{-e^{i theta} t} x0 with SE sqrt(2(1-e^{-2t cos theta})/n);
-    variance target 2(1-e^{-2t cos theta}) with its empirical SE.  Also
-    replays the first configuration to confirm bit-identical states: its
-    moments are taken, the SHA-256 digest of its bytes is kept and the
-    ensemble freed, then the replay is drawn and its digest compared, so at
-    most one ensemble is held at a time.
+    variance target 2(1-e^{-2t cos theta}) with its empirical SE.  Each
+    angle's paths are streamed (``sde._rows``), so the suite holds one
+    recorded time, not one ensemble: each row's moments are taken as it is
+    stepped.  Also replays the first configuration to confirm bit-identical
+    states: the SHA-256 digest of every byte of its rows, in time order, is
+    compared with that of the replay's rows.
     max_residual is the worst deviation in SE units; tol = 4.  Needs 3 paths:
     the two deviations |z - mean|^2 of 2 samples are equal, so their
     standard error is 0.
     """
     if n_paths < 3:
         raise ValueError(f"n_paths must be >= 3 for the variance's standard error, got {n_paths}")
+    # imported here, not with the module: hashlib loads OpenSSL, about 8 ms of
+    # CPU that every command would pay at import and only this suite uses
+    import hashlib
+
     worst = 0.0
     repro = True
+    digest = hashlib.sha256()  # of the first configuration's rows
     for i, config in enumerate(_exact_runs(thetas, ts, x0, n_paths, seed)):
-        states = sde.sample_exact(config).states
-        for k, t in enumerate(ts, start=1):
-            p = PropagatorParams(config.params, t)
-            worst = max(worst, *_moment_deviations(states[:, k], p, x0))
+        for k, z in enumerate(sde._rows(config)):
+            if i == 0:
+                digest.update(z)
+            if k:
+                p = PropagatorParams(config.params, ts[k - 1])
+                worst = max(worst, *_moment_deviations(z, p, x0))
+        del z  # this run's row, before the next run steps its own
         if i == 0:
-            digest = _digest(states)
-        del states  # before the replay or the next theta's ensemble is drawn
-        if i == 0:
-            repro = _digest(sde.sample_exact(config).states) == digest
+            replay = hashlib.sha256()
+            for z in sde._rows(config):
+                replay.update(z)
+            repro = replay.digest() == digest.digest()
+            del z
     return CheckReport.within(
         "sde-moments", worst, sde.BAND_SE,
         {"n_paths": n_paths, "ts": list(ts), "thetas": list(thetas), "bit_reproducible": repro},
@@ -628,12 +628,13 @@ def check_sde_vs_mehler(
     rule = default_rule(max_degree)
     worst = 0.0
     for config in _exact_runs(thetas, ts, x0, n_paths, seed):
-        ens = sde.sample_exact(config)
         phi = random_poly(rng, max_degree)
-        for k, t in enumerate(ts, start=1):
-            mc, se = sde.estimate_pt(ens, phi, k)
+        # each recorded time is scored as it is stepped; row 0 is x0
+        for t, z in zip(ts, islice(sde._rows(config), 1, None)):
+            mc, se = sde._estimate(phi, z)
             exact = semigroup_mehler(PropagatorParams(config.params, t), phi, x0, rule)
             worst = max(worst, abs(mc - exact) / se)
+        del z  # this run's row, before the next run steps its own
     return CheckReport.within(
         "sde-vs-mehler", worst, sde.BAND_SE,
         {"n_paths": n_paths, "max_degree": max_degree, "thetas": list(thetas)},

@@ -22,11 +22,16 @@ normals block by block in path order (equal blocks of at most
 per step.  So identical configs give bit-identical ensembles and distinct
 seeds give independent streams.
 
-Ensembles are stored time-major: both samplers fill one (T, n_paths) buffer
-row by row in one step loop (:func:`_sample`), each row from the previous, and
-:class:`PathEnsemble` exposes its transpose.  So ``states[:, k]`` (all paths at
-one recorded time, what every estimator reads) is contiguous memory, while
-``states[i, k]`` keeps its path-first indexing.
+One step loop (:func:`_rows`) serves both samplers.  It steps the paths
+from x0 over each grid gap and yields each recorded row, all paths at one
+recorded time, as soon as it is complete.  Streamed, it steps one n_paths
+row in place, so a caller that reads one recorded time at a time (the Monte
+Carlo suites, :func:`stationarity_check`) holds one row, not an ensemble.
+:class:`PathEnsemble` is for callers that need every time at once: the
+samplers fill one time-major (T, n_paths) buffer through the same loop, and
+the ensemble exposes its transpose.  So ``states[:, k]`` (what every
+estimator reads) is contiguous memory, while ``states[i, k]`` keeps its
+path-first indexing.
 """
 
 from __future__ import annotations
@@ -150,27 +155,58 @@ def _advance(z, factor, src, amp, noise, kick) -> None:
     z += kick
 
 
-def _sample(config: SimConfig, gaps) -> PathEnsemble:
-    """Fill the time-major buffer from one (steps, factor, amp) per grid gap,
-    then freeze it and wrap its (n_paths, T) transpose.
+def _gaps(config: SimConfig) -> list[tuple[int, complex, float]]:
+    """One (steps, factor, amp) per grid gap of config's scheme: each step
+    sets z = factor * z + amp * W.  exact: one step with the decay and noise
+    constants of the semigroup's :class:`~.semigroup.PropagatorParams`, so
+    sampler and Mehler integral agree; euler: steps of dt with
+    factor 1 - e^{i theta} dt and amp sqrt(2 cos(theta) dt)."""
+    grid = config.t_grid
+    if config.scheme == "exact":
+        props = [PropagatorParams(config.params, b - a) for a, b in zip(grid, grid[1:])]
+        return [(1, p.decay, p.noise_std) for p in props]
+    drift_step = 1.0 - config.params.drift * config.dt
+    amp = math.sqrt(2.0 * config.params.cos_theta * config.dt)
+    return [(steps, drift_step, amp) for steps in config.steps_per_gap()]
 
-    Row 0 is x0.  Each step draws W and sets z = factor * z + amp * W; a gap's
-    first step reads row k - 1 and writes row k, the rest step row k in place.
-    A step goes through its path blocks in path order, each drawing its own
-    normals, which consumes the Philox stream exactly as one (n_paths, 2)
-    draw, so the ensemble is the same bits for any blocking.
+
+def _rows(config: SimConfig, states: np.ndarray | None = None):
+    """Yield each recorded row (all paths at one recorded time) as soon as it
+    is complete: row 0 (all x0) first, then one row per grid gap.
+
+    ``states``, a (T, n_paths) buffer, gets row k at time k.  Without it one
+    n_paths row is stepped in place, and every yield is that same array,
+    overwritten by the next gap's steps: read or copy it before advancing.
+
+    Each step draws W and sets z = factor * z + amp * W (:func:`_gaps`); a
+    gap's first step reads row k - 1 and writes row k, the rest step row k in
+    place.  A step goes through its path blocks in path order, each drawing
+    its own normals, which consumes the Philox stream exactly as one
+    (n_paths, 2) draw, so the rows are the same bits for any blocking, and
+    the same streamed as buffered.
     """
+    if states is None:  # T references to one row: each gap steps it in place
+        states = [np.empty(config.n_paths, dtype=complex)] * len(config.t_grid)
     rng = _rng(config.seed)
-    states = np.empty((len(config.t_grid), config.n_paths), dtype=complex)
-    states[0] = config.x0
     blocks = _blocks(config.n_paths, _BLOCK)
-    for k, (steps, factor, amp) in enumerate(gaps, start=1):
+    states[0].fill(config.x0)
+    yield states[0]
+    for k, (steps, factor, amp) in enumerate(_gaps(config), start=1):
         z, src = states[k], states[k - 1]
         for _ in range(steps):
             for lo, hi in blocks:
                 w = _complex_normals(rng, hi - lo)
                 _advance(z[lo:hi], factor, src[lo:hi], amp, w, w)
             src = z
+        yield z
+
+
+def _sample(config: SimConfig) -> PathEnsemble:
+    """Fill the time-major buffer through :func:`_rows`, then freeze it and
+    wrap its (n_paths, T) transpose."""
+    states = np.empty((len(config.t_grid), config.n_paths), dtype=complex)
+    for _ in _rows(config, states):
+        pass
     states.setflags(write=False)
     return PathEnsemble(config, states.T)
 
@@ -182,9 +218,7 @@ def sample_exact(config: SimConfig) -> PathEnsemble:
     agree."""
     if config.scheme != "exact":
         raise ValueError("config.scheme must be 'exact'")
-    grid = config.t_grid
-    props = [PropagatorParams(config.params, b - a) for a, b in zip(grid, grid[1:])]
-    return _sample(config, [(1, p.decay, p.noise_std) for p in props])
+    return _sample(config)
 
 
 def sample_euler(config: SimConfig) -> PathEnsemble:
@@ -192,37 +226,48 @@ def sample_euler(config: SimConfig) -> PathEnsemble:
     grid: z <- (1 - e^{i theta} dt) z + sqrt(2 cos(theta) dt) W."""
     if config.scheme != "euler":
         raise ValueError("config.scheme must be 'euler'")
-    drift_step = 1.0 - config.params.drift * config.dt
-    amp = math.sqrt(2.0 * config.params.cos_theta * config.dt)
-    return _sample(config, [(steps, drift_step, amp) for steps in config.steps_per_gap()])
+    return _sample(config)
 
 
-def _abs_dev_sq(vals: np.ndarray, mean: complex) -> np.ndarray:
-    """|vals - mean|^2 of real or complex vals as a new float array, the bits
-    of ``np.abs(vals - mean) ** 2``.  The differences are taken one path block
-    (``poly._blocks``) at a time, so no deviation array of the full
-    width is formed: the scratch is the float result plus one block."""
-    out = np.empty(vals.size)
+def _abs_dev_sq(vals: np.ndarray, mean: complex, out: np.ndarray | None = None) -> np.ndarray:
+    """|vals - mean|^2 of real or complex vals, the bits of
+    ``np.abs(vals - mean) ** 2``, in ``out`` (a new float array if None; it
+    may be real vals itself, which are then overwritten).  The differences
+    are taken one path block (``poly._blocks``) at a time, so no deviation
+    array of the full width is formed: the scratch is the float result plus
+    one block."""
+    out = np.empty(vals.size) if out is None else out
     for lo, hi in _blocks(vals.size, _BLOCK):
         np.abs(vals[lo:hi] - mean, out=out[lo:hi])
     return np.square(out, out=out)
 
 
-def _mean_and_se(vals: np.ndarray) -> tuple[complex | float, float]:
+def _mean_and_se(vals: np.ndarray, out: np.ndarray | None = None) -> tuple[complex | float, float]:
     """Sample mean of real or complex vals and its total standard error
     sqrt(var / n), var = sum |v - mean|^2 / (n - 1) the unbiased variance
-    estimate; the error is 0.0 for fewer than 2 samples."""
+    estimate; the error is 0.0 for fewer than 2 samples.  ``out`` is passed
+    to :func:`_abs_dev_sq`: real vals the caller no longer needs can take
+    their own deviations in place."""
     n = vals.size
     mean = vals.mean().item()
     if n < 2:
         return mean, 0.0
-    var = float(np.sum(_abs_dev_sq(vals, mean))) / (n - 1)
+    var = float(np.sum(_abs_dev_sq(vals, mean, out))) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
 def abs_second_moment(z: np.ndarray) -> tuple[float, float]:
-    """Sample mean of |z|^2 and its standard error (:func:`_mean_and_se`)."""
-    return _mean_and_se(np.abs(z) ** 2)
+    """Sample mean of |z|^2 and its standard error (:func:`_mean_and_se`),
+    with |z|^2 squared and then its deviations taken in one float array."""
+    sq = np.abs(z)
+    np.square(sq, out=sq)
+    return _mean_and_se(sq, out=sq)
+
+
+def _estimate(phi, z: np.ndarray) -> tuple[complex, float]:
+    """Mean of phi over the paths z of one recorded time and its total
+    standard error (:func:`_mean_and_se`)."""
+    return _mean_and_se(_eval_at(phi, z))
 
 
 def estimate_pt(ensemble: PathEnsemble, phi, t_index: int) -> tuple[complex, float]:
@@ -232,7 +277,7 @@ def estimate_pt(ensemble: PathEnsemble, phi, t_index: int) -> tuple[complex, flo
     total one, sqrt(E|phi - mean|^2 / n) with the unbiased variance estimate,
     covering both real and imaginary coordinates jointly.
     """
-    return _mean_and_se(_eval_at(phi, ensemble.states[:, t_index]))
+    return _estimate(phi, ensemble.states[:, t_index])
 
 
 def _ks_normal(x: np.ndarray) -> float:
@@ -322,15 +367,14 @@ def stationarity_check(
     config = SimConfig(
         params=params, x0=0j, t_grid=(0.0, float(t_burn)), n_paths=n_paths, seed=seed
     )
-    # a copy, so the ensemble's row 0 (all x0) is freed with its buffer
-    z = sample_exact(config).states[:, 1].copy()
+    *_, z = _rows(config)  # one row, stepped in place to t_burn
 
     mean, mean_se = _mean_and_se(z)
-    second, second_se = _mean_and_se(z * z)
     abs_mean, abs_se = abs_second_moment(z)
-
     ks_real = _ks_normal(z.real)
     ks_imag = _ks_normal(z.imag)
+    # z's last use: z * z overwrites it
+    second, second_se = _mean_and_se(np.multiply(z, z, out=z))
     threshold = KS_COEFF / math.sqrt(n_paths)
 
     return StationarityReport(

@@ -449,13 +449,13 @@ class TestExitCodes:
         ],
     )
     def test_allocation_failure_is_usage_error(self, capsys, monkeypatch, argv):
-        # a --paths too large to allocate: the sampler's MemoryError is raised
+        # a --paths too large to allocate: the row loop's MemoryError is raised
         # here directly, since a huge request could be reserved by an
         # overcommitting host and then touched page by page
-        def sample(config):
-            raise MemoryError(f"Unable to allocate an ensemble of {config.n_paths} paths")
+        def rows(config, states=None):
+            raise MemoryError(f"Unable to allocate {config.n_paths} paths")
 
-        monkeypatch.setattr(sde, "sample_exact", sample)
+        monkeypatch.setattr(sde, "_rows", rows)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""

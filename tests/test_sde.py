@@ -11,6 +11,7 @@ tracemalloc.
 
 import cmath
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -443,7 +444,7 @@ class TestSamplersMatchReferenceLoops:
         args = (GeneratorParams(0.6), 40001, None, SEED + 56)
         got = stationarity_check(*args)
         monkeypatch.setattr(
-            sde, "sample_exact", lambda cfg: sde.PathEnsemble(cfg, reference_exact(cfg))
+            sde, "_rows", lambda cfg: iter(np.ascontiguousarray(reference_exact(cfg).T))
         )
         want = stationarity_check(*args)
         for field in dataclasses.fields(sde.StationarityReport):
@@ -484,52 +485,69 @@ class TestTimeMajorLayout:
 
 class TestSdeMomentsReplay:
     def _run_with_replay(self, monkeypatch, tamper, x0=1.0 + 0.5j):
-        real = sde.sample_exact
+        # tamper(k, row) edits a copy of each row k of the replay's stream
+        real = sde._rows
         calls = []
 
-        def sample(config):
-            ens = real(config)
+        def rows(config, states=None):
             calls.append(config)
-            if len(calls) == 2:  # the replay of the first configuration
-                return sde.PathEnsemble(config, tamper(np.array(ens.states)))
-            return ens
+            stream = real(config, states)
+            if len(calls) != 2:  # not the replay of the first configuration
+                return stream
+            return (tamper(k, z.copy()) for k, z in enumerate(stream))
 
-        monkeypatch.setattr(sde, "sample_exact", sample)
-        return checks.check_sde_moments(n_paths=2000, x0=x0, seed=SEED + 60)
+        monkeypatch.setattr(sde, "_rows", rows)
+        report = checks.check_sde_moments(n_paths=2000, x0=x0, seed=SEED + 60)
+        assert calls[1] == calls[0]
+        return report
 
     def test_identical_replay_passes(self, monkeypatch):
-        report = self._run_with_replay(monkeypatch, lambda s: s)
+        report = self._run_with_replay(monkeypatch, lambda k, z: z)
         assert report.details["bit_reproducible"] is True
         assert report.passed
 
     @pytest.mark.parametrize("path, k", [(0, 1), (1999, 2), (1000, 0)])
     def test_one_ulp_anywhere_is_caught(self, monkeypatch, path, k):
-        def tamper(states):
-            states[path, k] = np.nextafter(states[path, k].real, np.inf) + 1j * states[path, k].imag
-            return states
+        def tamper(row_k, z):
+            if row_k == k:
+                z[path] = np.nextafter(z[path].real, np.inf) + 1j * z[path].imag
+            return z
 
         report = self._run_with_replay(monkeypatch, tamper)
         assert report.details["bit_reproducible"] is False
         assert not report.passed
 
     def test_last_mantissa_bit_of_last_state_is_caught(self, monkeypatch):
-        # the imaginary part of the last state is the last 8 bytes of the
-        # time-major buffer that the digest reads
-        def tamper(states):
-            last = states[-1, -1]
-            bits = np.float64(last.imag).view(np.uint64) ^ np.uint64(1)
-            states[-1, -1] = complex(last.real, bits.view(np.float64))
-            return states
+        # the imaginary part of the last path in the last row is the last 8
+        # bytes that the digest reads
+        def tamper(k, z):
+            if k == 2:  # rows 0..2: the default ts has two times
+                last = z[-1]
+                bits = np.float64(last.imag).view(np.uint64) ^ np.uint64(1)
+                z[-1] = complex(last.real, bits.view(np.float64))
+            return z
 
         report = self._run_with_replay(monkeypatch, tamper)
         assert report.details["bit_reproducible"] is False
         assert not report.passed
 
+    @pytest.mark.parametrize("n_paths", [16385, 40001])
+    def test_streamed_digest_is_the_ensembles(self, n_paths):
+        # the rows, hashed as they are yielded, are the bytes of the sampler's
+        # time-major buffer in order (path blocks straddled)
+        cfg = SimConfig(GeneratorParams(math.pi / 3), 0.4 - 0.9j, GRIDS[0], n_paths, SEED + 61)
+        streamed = hashlib.sha256()
+        for z in sde._rows(cfg):
+            streamed.update(z)
+        buffer = np.ascontiguousarray(sample_exact(cfg).states.T)
+        assert streamed.digest() == hashlib.sha256(buffer).digest()
+
     def test_sign_of_zero_is_caught(self, monkeypatch):
         # equal values, different bytes: the check compares bytes, not values
-        def tamper(states):
-            states[5, 0] = complex(1.0, -0.0)
-            return states
+        def tamper(k, z):
+            if k == 0:
+                z[5] = complex(1.0, -0.0)
+            return z
 
         report = self._run_with_replay(monkeypatch, tamper, x0=1.0)
         assert report.details["bit_reproducible"] is False
@@ -546,23 +564,37 @@ class TestBoundedMemory:
         ensemble = 3 * self.N * 16
         assert traced_peak(lambda: sample_exact(cfg)) <= ensemble + MB
 
-    def test_sde_moments_holds_one_ensemble(self):
-        # one ensemble at a time (the replay is compared by digest), plus the
-        # float deviations of one recorded time and numpy's std scratch
+    def test_sde_moments_holds_one_row(self):
+        # each run is streamed (the replay is compared by digest): one row of
+        # complex states, the float deviations of that recorded time, and
+        # blocks of at most poly._BLOCK paths
         checks.check_sde_moments(n_paths=100)  # warm
-        ensemble = 3 * self.N * 16
         peak = traced_peak(lambda: checks.check_sde_moments(n_paths=self.N))
-        assert peak <= ensemble + 2 * 8 * self.N + MB
+        assert peak <= 16 * self.N + 8 * self.N + MB
 
-    def test_stationarity_holds_one_ensemble(self):
-        # the two-time ensemble while its last row is copied out; after it is
-        # freed, z, z*z for the second moment and its float deviations are
-        # less, with no complex deviation array of the full width
+    def test_stationarity_holds_one_row(self):
+        # one row stepped in place to t_burn; beside it at most one float
+        # array of its width (deviations, |z|^2, or the KS statistic's sorted
+        # copy) is alive at a time, and z * z is formed in place
         stationarity_check(GeneratorParams(0.3), 100, None, SEED + 72)  # warm
         args = (GeneratorParams(0.3), self.N, None, SEED + 72)
-        ensemble = 2 * self.N * 16
         peak = traced_peak(lambda: stationarity_check(*args))
-        assert peak <= ensemble + 16 * self.N + MB
+        assert peak <= 16 * self.N + 8 * self.N + MB
+
+    def test_sde_vs_mehler_holds_one_row(self):
+        # one streamed row, phi's complex values on it and their float
+        # deviations
+        n = 100_000
+        checks.check_sde_vs_mehler(n_paths=100)  # warm
+        peak = traced_peak(lambda: checks.check_sde_vs_mehler(n_paths=n))
+        assert peak <= 16 * n + 16 * n + 8 * n + MB
+
+    def test_abs_second_moment_squares_in_place(self):
+        # |z|^2 and then its deviations share one float array
+        z = sample_exact(SimConfig(GeneratorParams(0.3), 1.0, (0.0, 1.0), self.N, SEED + 73))
+        z = np.array(z.states[:, 1])
+        sde.abs_second_moment(z[:10])  # warm
+        assert traced_peak(lambda: sde.abs_second_moment(z)) <= 8 * self.N + MB
 
     def test_ks_normal_makes_no_python_float_per_point(self):
         # the sorted copy is the one array of the full width: the CDF and the
