@@ -216,16 +216,18 @@ def _cmd_sde_simulate(cmd, args) -> dict:
     for k, t in enumerate(config.t_grid):
         mean, mean_se = sde.estimate_pt(ensemble, lambda w: w, k)
         abs_mean, abs_se = sde.abs_second_moment(ensemble.states[:, k])
-        expected = PropagatorParams(params, t)
+        mean_t, var_t = PropagatorParams(params, t).transition_moments(x0)
         moments.append(
             {
                 "t": t,
                 "mean": _complex_obj(mean),
                 "mean_se": mean_se,
-                "expected_mean": _complex_obj(expected.decay * x0),
+                "expected_mean": _complex_obj(mean_t),
                 "abs_second_moment": abs_mean,
                 "abs_second_moment_se": abs_se,
-                "expected_variance": 2.0 * expected.noise_std**2,
+                "expected_variance": var_t,
+                # a product: ** 2 would raise on overflow, not give a non-finite result
+                "expected_abs_second_moment": abs(mean_t) * abs(mean_t) + var_t,
             }
         )
     if args.csv is not None:

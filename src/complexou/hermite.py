@@ -49,7 +49,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .poly import _Z, _ZBAR, PolyZZbar, _lincomb, _wrap
+from .poly import _Z, _ZBAR, PolyZZbar, _lincomb, _worst, _wrap
 from .spectral import MAX_TOTAL_DEGREE, SpectralCoeffs
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k by k mod 4
@@ -75,11 +75,9 @@ class BasisTransform:
     def residual(self) -> float:
         """Worst entry of forward @ inverse - I and of both unitarity defects."""
         eye = np.eye(self.degree + 1)
-        return max(
-            float(np.max(np.abs(self.forward @ self.inverse - eye))),
-            float(np.max(np.abs(self.forward @ self.forward.conj().T - eye))),
-            float(np.max(np.abs(self.inverse @ self.inverse.conj().T - eye))),
-        )
+        fwd, inv = self.forward, self.inverse
+        pairs = ((fwd, inv), (fwd, fwd.conj().T), (inv, inv.conj().T))
+        return _worst(float(np.max(np.abs(a @ b - eye))) for a, b in pairs)
 
 
 def real_hermite(n: int) -> np.ndarray:

@@ -209,6 +209,12 @@ def _blocks(n: int, most: int) -> list[tuple[int, int]]:
     return [(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
+def _worst(values) -> float:
+    """The largest of the floats ``values``, 0.0 if none and NaN if any is NaN
+    (Python's max drops a NaN that is not first): the fold of every residual."""
+    return float(np.max(np.fromiter(values, float), initial=0.0))
+
+
 # Largest total degree m + n of the basis (the explicit J[m,n] formula and
 # every coefficient file); it also bounds the dense array a file fills.  A
 # polynomial file may reach twice it, the degree of a product of two literals.

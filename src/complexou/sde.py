@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import GeneratorParams
-from .poly import _BLOCK, _blocks
+from .poly import _BLOCK, _blocks, _worst
 from .quadrature import _eval_at
 from .semigroup import PropagatorParams
 
@@ -333,15 +333,13 @@ class StationarityReport:
     def max_ratio(self) -> float:
         """The worst of each moment's deviation over BAND_SE SE and each KS
         statistic over the threshold: the residual against STATIONARITY_TOL."""
-        return float(
-            max(
-                abs(self.mean) / (BAND_SE * self.mean_se),
-                abs(self.second_moment) / (BAND_SE * self.second_moment_se),
-                abs(self.abs_second_moment - 2.0) / (BAND_SE * self.abs_second_moment_se),
-                self.ks_real / self.ks_threshold,
-                self.ks_imag / self.ks_threshold,
-            )
-        )
+        return _worst((
+            abs(self.mean) / (BAND_SE * self.mean_se),
+            abs(self.second_moment) / (BAND_SE * self.second_moment_se),
+            abs(self.abs_second_moment - 2.0) / (BAND_SE * self.abs_second_moment_se),
+            self.ks_real / self.ks_threshold,
+            self.ks_imag / self.ks_threshold,
+        ))
 
     @property
     def passed(self) -> bool:

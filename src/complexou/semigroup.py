@@ -66,6 +66,10 @@ class PropagatorParams:
     def theta(self) -> float:
         return self.params.theta
 
+    def transition_moments(self, x0: complex) -> tuple[complex, float]:
+        """Mean decay x0 and variance E|Z_t - mean|^2 = 2 noise_std^2 of Z_t from x0."""
+        return self.decay * x0, 2.0 * self.noise_std**2
+
 
 def adjoint_semigroup(p: PropagatorParams) -> PropagatorParams:
     """The adjoint propagator: theta -> -theta, same t."""

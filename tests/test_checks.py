@@ -2,10 +2,11 @@
 coefficients as one block and must give what one scalar draw per part gives.
 The orthonormality Gram matrix, taken in row blocks, gives the residual of one
 product bit for bit and holds one basis grid.  The suites' shared rules (the
-report verdict, the (theta, t) grid, the exact-sampler runs, the seed range)
-and the order in which run_all calls each suite through its module
-attribute."""
+report verdict, the one NaN-safe fold of the residuals, the (theta, t) grid,
+the exact-sampler runs, the seed range) and the order in which run_all calls
+each suite through its module attribute."""
 
+import dataclasses
 import inspect
 import itertools
 import math
@@ -13,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from complexou import checks, hermite
+from complexou import checks, hermite, sde
+from complexou.poly import _worst
 from complexou.quadrature import gauss_hermite_rule
 from memtrace import MB, traced_peak
 
@@ -65,10 +67,28 @@ def test_random_outer_matches_scalar_draws(n_slots, max_degree):
 def test_report_requires_residual_and_tol():
     with pytest.raises(TypeError):
         checks.CheckReport("suite", True)
-    report = checks.CheckReport.within("suite", 0.5, 1.0, {})
+    report = checks.CheckReport.within("suite", [0.5], 1.0, {})
     assert report.to_json_obj() == {"name": "suite", "pass": True, "max_residual": 0.5, "tol": 1.0}
     # a suite's extra condition fails the report at any residual
-    assert checks.CheckReport.within("suite", 0.0, 1.0, {}, ok=False).passed is False
+    assert checks.CheckReport.within("suite", [0.0], 1.0, {}, ok=False).passed is False
+
+
+@pytest.mark.parametrize("values, want", [
+    ([], 0.0),
+    ([0.25, 3.0, 1.5], 3.0),
+    (iter([2.0, math.nan, 5.0]), math.nan),  # Python's max gives 5.0
+    ((x for x in (1.0, 4.0, math.nan)), math.nan),  # Python's max gives 4.0
+    ({"a": 0.5, "b": math.inf}.values(), math.inf),
+])
+def test_worst_folds_any_iterable_and_keeps_a_nan(values, want):
+    got = _worst(values)
+    assert type(got) is float
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_report_of_a_nan_residual_fails():
+    report = checks.CheckReport.within("suite", [0.5, math.nan, 0.25], 1.0, {})
+    assert report.passed is False and math.isnan(report.max_residual)
 
 
 def one_product_residual(max_degree, rule):
@@ -188,7 +208,7 @@ def test_run_all_calls_each_suite_through_its_attribute(monkeypatch):
     def recorder(name):
         def record(*args, **kwargs):
             calls.append((name, args, kwargs))
-            return checks.CheckReport.within(name, 0.0, 1.0, {})
+            return checks.CheckReport.within(name, [0.0], 1.0, {})
         return record
 
     suites = [name for name in vars(checks) if name.startswith("check_")]
@@ -198,3 +218,115 @@ def test_run_all_calls_each_suite_through_its_attribute(monkeypatch):
     reports = checks.run_all(seed=5, n_paths=250000)
     assert calls == [(name, (), kwargs) for name, kwargs in RUN_ALL_CALLS]
     assert [r.name for r in reports] == [name for name, _ in RUN_ALL_CALLS]
+
+
+# -- a NaN from one route fails its suite ----------------------------------------
+
+
+def nan_times(fn):
+    """fn with its result (a polynomial, an array or a number) times NaN."""
+    return lambda *args, **kwargs: fn(*args, **kwargs) * math.nan
+
+
+def nan_second(fn):
+    """fn with the second of the sides it returns times NaN."""
+    def sides(*args, **kwargs):
+        first, second, *rest = fn(*args, **kwargs)
+        return (first, second * math.nan, *rest)
+    return sides
+
+
+def nan_inverse(fn):
+    """build_basis_transform with the inverse matrix times NaN."""
+    def build(level):
+        tr = fn(level)
+        return dataclasses.replace(tr, inverse=tr.inverse * math.nan)
+    return build
+
+
+def nan_built(fn):
+    """creation_ladder with each built polynomial times NaN."""
+    return lambda max_total: ((m, n, built * math.nan) for m, n, built in fn(max_total))
+
+
+def nan_rows(fn):
+    """sde._rows with each recorded row times NaN."""
+    return lambda *args, **kwargs: (z * math.nan for z in fn(*args, **kwargs))
+
+
+# every suite at a small size, and the route a mutant turns to NaN: (suite,
+# keywords, module, route, wrapper)
+NAN_ROUTES = [
+    ("check_quadrature", {"order": 10}, checks, "integrate_gamma", nan_times),
+    ("check_orthonormality", {"max_degree": 3, "order": 5}, hermite, "basis_values", nan_times),
+    ("check_eigenrelation", {"max_degree": 3}, checks, "apply_generator_wirtinger", nan_times),
+    ("check_transform", {"max_degree": 3}, hermite, "build_basis_transform", nan_inverse),
+    ("check_construction", {"max_total": 4}, hermite, "creation_ladder", nan_built),
+    ("check_roundtrip", {"max_degree": 3}, hermite, "synthesize", nan_times),
+    ("check_operator_normality", {"max_degree": 3}, checks, "apply_generator_wirtinger",
+     nan_times),
+    ("check_gamma", {"n_pairs": 3, "max_degree": 2, "n_points": 20}, checks,
+     "carre_du_champ_via_generator", nan_times),
+    ("check_chain_rule", {"n_cases": 3}, checks, "chain_rule_sides", nan_second),
+    ("check_spectral_vs_mehler", {"max_degree": 3, "n_points": 4, "ts": (1.0,)}, checks,
+     "semigroup_mehler", nan_times),
+    ("check_semigroup_normality", {"max_degree": 2, "ts": (1.0,), "n_points": 2}, checks,
+     "normality_commutator", nan_second),
+    ("check_adjoint", {"max_degree": 2, "ts": (1.0,), "n_pairs": 1}, checks,
+     "semigroup_pairing", nan_times),
+    ("check_invariance", {"max_degree": 3, "ts": (1.0,), "n_polys": 1}, checks,
+     "invariance_residual", nan_times),
+    ("check_ergodicity", {"max_degree": 3, "ts": (2.0,), "n_points": 1}, checks,
+     "ergodic_limit_residual", nan_times),
+    ("check_rotation_invariance", {"max_degree": 2, "ts": (1.0,), "n_polys": 1}, checks,
+     "gaussian_rotation_residual", nan_times),
+    ("check_sde_moments", {"n_paths": 50}, sde, "_rows", nan_rows),
+    ("check_stationarity", {"n_paths": 50}, sde, "_rows", nan_rows),
+    ("check_sde_vs_mehler", {"n_paths": 50, "max_degree": 2}, checks, "semigroup_mehler",
+     nan_times),
+]
+
+
+def test_nan_routes_cover_every_suite():
+    suites = [name for name in vars(checks) if name.startswith("check_")]
+    assert sorted(suites) == sorted(name for name, *_ in NAN_ROUTES)
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs, module, route, wrap", NAN_ROUTES, ids=[row[0] for row in NAN_ROUTES]
+)
+def test_a_nan_route_fails_its_suite(monkeypatch, suite, kwargs, module, route, wrap):
+    # Python's max keeps the old value against a NaN, so a fold written with it
+    # passed an all-NaN route with max_residual 0.0
+    assert getattr(checks, suite)(**kwargs).passed  # unmutated, the small size passes
+    monkeypatch.setattr(module, route, wrap(getattr(module, route)))
+    report = getattr(checks, suite)(**kwargs)
+    assert report.passed is False
+    assert math.isnan(report.max_residual)
+
+
+def test_quadrature_keeps_a_nan_in_its_last_entry(monkeypatch):
+    # gram_deg4 is the last of the selftest's residuals; max(resids.values())
+    # kept a NaN only when it came first
+    monkeypatch.setattr(checks, "_gram_residual", lambda max_degree, rule: (math.nan, 15))
+    report = checks.check_quadrature()
+    assert list(report.details)[-1] == "gram_deg4"
+    assert report.passed is False and math.isnan(report.max_residual)
+
+
+def test_carre_du_champ_diagonal_nan_fails(monkeypatch):
+    # min_diagonal_value is a minimum of values that may be positive: it has no
+    # 0.0 floor, and a NaN reaches it rather than leaving it at inf
+    carre_du_champ = checks.carre_du_champ
+
+    def diagonal_nan(phi, psi):
+        gamma = carre_du_champ(phi, psi)
+        return gamma * math.nan if phi is psi else gamma
+
+    report = checks.check_gamma(n_pairs=2, max_degree=2, n_points=20)
+    assert report.details["min_diagonal_value"] > 0.0
+    monkeypatch.setattr(checks, "carre_du_champ", diagonal_nan)
+    report = checks.check_gamma(n_pairs=2, max_degree=2, n_points=20)
+    assert math.isnan(report.details["min_diagonal_value"])
+    assert math.isnan(report.details["max_diagonal_imag"])
+    assert report.passed is False and report.max_residual <= report.tol

@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 import complexou
-from complexou import PolyZZbar, checks, cli, sde
+from complexou import PolyZZbar, checks, cli, hermite, sde
 from complexou.cli import main
 from complexou.operator import THETA_BOUND, GeneratorParams
+from complexou.semigroup import PropagatorParams
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +245,24 @@ class TestSdeCommands:
         mean = complex(final["mean"]["re"], final["mean"]["im"])
         assert abs(mean - math.exp(-1.0)) <= 4.0 * final["mean_se"]
         assert final["expected_mean"]["re"] == pytest.approx(math.exp(-1.0))
+
+    def test_simulate_abs_second_moment_has_its_target(self, capsys):
+        # README's example: from x0 = 1, E|Z_t|^2 = |decay x0|^2 + variance, not
+        # the variance (1.5061 against 1.0139 at t = 0.5)
+        code, out, _ = run_cli(
+            capsys, "sde", "simulate", "--theta", "0.7854", "--x0-re", "1", "--t", "0.5", "1",
+            "--paths", "200000", "--seed", "7",
+        )
+        assert code == 0
+        rows = parse_envelope(out)["results"]["moments"]
+        for row in rows:
+            mean, var = PropagatorParams(GeneratorParams(0.7854), row["t"]).transition_moments(1)
+            assert complex(row["expected_mean"]["re"], row["expected_mean"]["im"]) == mean
+            assert row["expected_variance"] == var
+            assert row["expected_abs_second_moment"] == abs(mean) * abs(mean) + var
+            gap = abs(row["abs_second_moment"] - row["expected_abs_second_moment"])
+            assert gap <= sde.BAND_SE * row["abs_second_moment_se"] + 1e-15
+        assert rows[1]["abs_second_moment"] > rows[1]["expected_variance"] + 0.4  # t = 0.5
 
     def test_csv_is_bit_reproducible(self, capsys, tmp_path):
         paths = []
@@ -845,6 +864,27 @@ class TestVerifyAll:
         assert "quadrature-selftest" in names
         assert "sde-vs-mehler" in names
         assert "PASS" in err
+
+
+class TestNanResidual:
+    """A NaN residual fails its suite, and as JSON holds no NaN, the command
+    writes no envelope and exits 2 with one error line."""
+
+    def check_usage_error(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
+        assert err.count("\n") == 1
+
+    def test_suite_command(self, capsys, monkeypatch):
+        synthesize = hermite.synthesize
+        monkeypatch.setattr(hermite, "synthesize", lambda c: synthesize(c) * math.nan)
+        self.check_usage_error(capsys, "hermite", "roundtrip", "--max-degree", "3")
+
+    def test_verify_all(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "invariance_residual", lambda p, phi, rule: math.nan)
+        self.check_usage_error(capsys, "verify-all", "--paths", "100")
 
 
 def test_stationarity_command_loads_no_scipy():

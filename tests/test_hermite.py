@@ -4,6 +4,7 @@ expansion round trip, and every normalization coefficient against its exact
 value.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -197,6 +198,16 @@ class TestBasisTransform:
 
     def test_residual_at_the_degree_limit(self):
         assert build_basis_transform(MAX_TRANSFORM_DEGREE).residual() <= 1e-10
+
+    def test_residual_keeps_a_nan(self):
+        # a NaN in the inverse reaches forward @ inverse and the inverse's
+        # unitarity defect; the forward's defect stays finite
+        tr = build_basis_transform(3)
+        inverse = tr.inverse.copy()
+        inverse[2, 1] = math.nan
+        bad = dataclasses.replace(tr, inverse=inverse)
+        assert np.isfinite(bad.forward @ bad.forward.conj().T).all()
+        assert math.isnan(bad.residual())
 
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):

@@ -235,6 +235,14 @@ class TestStationarity:
         report = stationarity_check(GeneratorParams(0.5), 2000, t_burn, SEED + 21)
         assert report.t_burn == pytest.approx(t_burn)
 
+    def test_max_ratio_keeps_a_nan_in_its_last_entry(self):
+        # ks_imag is the last of the five ratios; Python's max drops a NaN there
+        report = stationarity_check(GeneratorParams(0.3), 2000, 16.0, SEED + 20)
+        assert report.passed
+        bad = dataclasses.replace(report, ks_imag=math.nan)
+        assert math.isnan(bad.max_ratio)
+        assert bad.passed is False
+
 
 class TestKsNormal:
     """sde._ks_normal is the two-sided statistic of scipy.stats.kstest against
