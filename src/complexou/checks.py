@@ -30,7 +30,7 @@ from .operator import (
     chain_rule_sides,
     eigenvalue,
 )
-from .poly import PolyZZbar, PolyWWbar, _blocks, _worst
+from .poly import _BLOCK, PolyZZbar, PolyWWbar, _blocks, _worst
 from .quadrature import QuadratureRule, default_rule, gauss_hermite_rule, integrate_gamma
 from .semigroup import (
     PropagatorParams,
@@ -141,44 +141,56 @@ def random_points(rng: np.random.Generator, n: int) -> np.ndarray:
 # -- hermite / quadrature suites ----------------------------------------------
 
 
-# Row blocks of the Gram matrix in _gram_residual: up to _GRAM_BLOCKS equal
-# blocks of at least _GRAM_BLOCK_ROWS rows.  Each `@` repacks its whole right
-# operand (Goto & van de Geijn, ACM TOMS 34(3), 2008), so a few large blocks
-# cost what one product costs.  Small blocks can round differently from the
-# one product (measured with OpenBLAS): a one-row block runs as a
-# matrix-vector product, and a block too small to be threaded splits its sum
-# over the points into other chunks than the threaded whole does.  Blocks of
-# 64 rows or more matched the one product bit for bit in every case measured,
-# on one BLAS thread and on two.
-_GRAM_BLOCKS = 8
-_GRAM_BLOCK_ROWS = 64
+# Point blocks of the tensor rule in _gram_rows: a block's basis grid holds
+# at most poly._BLOCK values, and a block has at least _GRAM_BLOCK_POINTS
+# points, so each product's sum over points runs in chunks of that length.
+_GRAM_BLOCK_POINTS = 64
+
+
+def _gram_rows(max_degree: int, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray, float]:
+    """The rows with m >= n of conj(G), G = (J w) @ conj(J)^T the Gram matrix
+    of {J[m,n] : m+n <= max_degree} under the tensor rule: (their columns
+    with m >= n, their columns with m < n, in :func:`hermite.basis_indices`
+    order), and the worst |J[n,m] - conj(J[m,n])| on the grid.
+
+    A row with m < n is the conjugate of its partner's, so G[(n,m), (l,k)] =
+    conj(G[(m,n), (k,l)]) and these rows hold every entry of G up to
+    conjugation: half of G is formed.  The last value checks that premise on
+    the grid (it is 0 for :func:`hermite.basis_values`).  The sum over the
+    points runs in point blocks of the rule, one block's basis grid at a
+    time, so the kernel holds the two products and one block's grid.
+    """
+    pts, wts = rule.tensor_points()
+    indices = hermite.basis_indices(max_degree)
+    half = [i for i, (m, n) in enumerate(indices) if m >= n]
+    rest = [i for i, (m, n) in enumerate(indices) if m < n]
+    partner = [i + n - m for i, (m, n) in enumerate(indices) if m < n]  # (n, m)
+    same = np.zeros((len(half), len(half)), dtype=complex)
+    cross = np.zeros((len(half), len(rest)), dtype=complex)
+    mirror = []
+    for lo, hi in _blocks(pts.size, max(_GRAM_BLOCK_POINTS, _BLOCK // len(indices))):
+        vals = hermite.basis_values(max_degree, pts[lo:hi])
+        right = vals[half]
+        left = np.conjugate(right * wts[lo:hi])
+        same += left @ right.T
+        cross += left @ vals[rest].T
+        mirror.append(np.max(np.abs(vals[rest] - np.conjugate(vals[partner])), initial=0.0))
+    return same, cross, _worst(mirror)
 
 
 def _gram_residual(max_degree: int, rule: QuadratureRule) -> tuple[float, int]:
     """Worst entry of the Gram matrix of {J[m,n] : m+n <= max_degree} under
     the tensor rule minus the identity, and the basis size.
 
-    The basis rows are split into equal blocks by ``poly._blocks``, as
-    ``PolyZZbar.eval`` splits points, so one basis grid is held plus one
-    block of it and that block's Gram rows.  The rows of a block, (conj(J_i) w) @ J^T, are the exact
-    conjugates of the rows of the one product (J w) @ conj(J)^T (a complex
-    multiply-add rounds the same either sign), so every |G - I| entry is
-    that product's.
+    The rows of :func:`_gram_rows` hold every entry of G up to conjugation,
+    and the diagonal lies in their m >= n columns, so |G - I| is theirs,
+    provided the rows with m < n are their partners' conjugates, whose
+    defect is folded in too.
     """
-    pts, wts = rule.tensor_points()
-    vals = hermite.basis_values(max_degree, pts)
-    size = len(vals)
-    n_blocks = max(1, min(_GRAM_BLOCKS, size // _GRAM_BLOCK_ROWS))
-    resids = []
-    for lo, hi in _blocks(size, -(-size // n_blocks)):
-        block = np.conjugate(vals[lo:hi])
-        block *= wts
-        gram = block @ vals.T
-        del block
-        gram[np.arange(hi - lo), np.arange(lo, hi)] -= 1.0
-        resids.append(float(np.max(np.abs(gram))))
-        del gram  # before the next block's rows are formed
-    return _worst(resids), size
+    same, cross, mirror = _gram_rows(max_degree, rule)
+    same[np.diag_indices_from(same)] -= 1.0
+    worst = (np.max(np.abs(same)), np.max(np.abs(cross), initial=0.0), mirror)
+    return _worst(worst), len(same) + cross.shape[1]
 
 
 def check_orthonormality(max_degree: int = 10, order: int = 12) -> CheckReport:

@@ -177,27 +177,34 @@ def basis_values(max_total: int, pts: np.ndarray) -> np.ndarray:
     the rows with m < n are the conjugates.  The explicit sum adds alternating
     terms far larger than J, which cancel at high degree; the recurrence does
     not, so it stays accurate up to MAX_TOTAL_DEGREE on the largest nodes.
+
+    The recurrence steps k for every frequency a at once: step k updates the
+    rows a = 0 .. max_total - 2k, with per-row scalar columns, so each row
+    sees the operations of its own one-frequency recurrence.
     """
     if not 0 <= max_total <= MAX_TOTAL_DEGREE:
         raise ValueError(f"max_total must be in [0, {MAX_TOTAL_DEGREE}], got {max_total}")
-    z = np.asarray(pts, dtype=complex)
+    shape = np.shape(pts)
+    z = np.asarray(pts, dtype=complex).ravel()
     x = 0.5 * (z.real**2 + z.imag**2)
-    out = np.empty(((max_total + 1) * (max_total + 2) // 2,) + z.shape, dtype=complex)
-    radial = np.ones_like(z)
-    for a in range(max_total + 1):
-        if a:
-            radial = radial * z / math.sqrt(2 * a)
-        prev, cur = np.zeros_like(x), np.ones_like(x)
-        for k in range((max_total - a) // 2 + 1):
-            if k:
-                prev, cur = cur, (
-                    (x - (2 * k - 1 + a)) * cur - math.sqrt((k - 1) * (k - 1 + a)) * prev
-                ) / math.sqrt(k * (k + a))
-            first = (a + 2 * k) * (a + 2 * k + 1) // 2  # row of (0, a + 2k)
-            np.multiply(radial, cur, out=out[first + a + k])  # J[a+k, k]
-            if a:
-                np.conjugate(out[first + a + k], out=out[first + k])  # J[k, a+k]
-    return out
+    out = np.empty(((max_total + 1) * (max_total + 2) // 2, z.size), dtype=complex)
+    radial = np.empty((max_total + 1, z.size), dtype=complex)  # J[a,0](z)
+    radial[0] = 1.0
+    for a in range(1, max_total + 1):
+        radial[a] = radial[a - 1] * z / math.sqrt(2 * a)
+    prev, cur = np.zeros((max_total + 1, z.size)), np.ones((max_total + 1, z.size))
+    for k in range(max_total // 2 + 1):
+        a = np.arange(max_total - 2 * k + 1)
+        if k:
+            col = a[:, None]
+            prev, cur = cur[: a.size], (
+                (x - (2 * k - 1 + col)) * cur[: a.size]
+                - np.sqrt((k - 1) * (k - 1 + col)) * prev[: a.size]
+            ) / np.sqrt(k * (k + col))
+        first = (a + 2 * k) * (a + 2 * k + 1) // 2  # rows of (0, a + 2k)
+        out[first + a + k] = radial[: a.size] * cur  # J[a+k, k]
+        out[first[1:] + k] = np.conjugate(out[first[1:] + a[1:] + k])  # J[k, a+k]
+    return out.reshape(out.shape[:1] + shape)
 
 
 def _creation_scale(m: int, n: int) -> float:

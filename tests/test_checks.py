@@ -1,7 +1,7 @@
 """The random inputs of the verification suites: each generator draws its
 coefficients as one block and must give what one scalar draw per part gives.
-The orthonormality Gram matrix, taken in row blocks, gives the residual of one
-product bit for bit and holds one basis grid.  The suites' shared rules (the
+The orthonormality Gram matrix, summed over point blocks of the rule, is
+within rounding of one product and holds its rows plus one block's grid.  The suites' shared rules (the
 report verdict, the one NaN-safe fold of the residuals, the (theta, t) grid,
 the exact-sampler runs, the seed range) and the order in which run_all calls
 each suite through its module attribute."""
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from complexou import checks, hermite, sde
-from complexou.poly import _worst
+from complexou.poly import _BLOCK, _blocks, _worst
 from complexou.quadrature import gauss_hermite_rule
 from memtrace import MB, traced_peak
 
@@ -91,40 +91,132 @@ def test_report_of_a_nan_residual_fails():
     assert report.passed is False and math.isnan(report.max_residual)
 
 
-def one_product_residual(max_degree, rule):
-    """max |G - I| with the Gram matrix as one product, (J w) @ conj(J)^T."""
+def point_block_rows(max_degree, rule):
+    """The m >= n rows of conj(G), summed over point blocks of at most
+    poly._BLOCK grid values and at least 64 points, as two products each."""
     pts, wts = rule.tensor_points()
-    vals = hermite.basis_values(max_degree, pts)
-    gram = (vals * wts) @ np.conjugate(vals).T
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return float(np.max(np.abs(gram)))
+    indices = hermite.basis_indices(max_degree)
+    half = [i for i, (m, n) in enumerate(indices) if m >= n]
+    rest = [i for i, (m, n) in enumerate(indices) if m < n]
+    same = np.zeros((len(half), len(half)), dtype=complex)
+    cross = np.zeros((len(half), len(rest)), dtype=complex)
+    for lo, hi in _blocks(pts.size, max(64, _BLOCK // len(indices))):
+        vals = hermite.basis_values(max_degree, pts[lo:hi])
+        left = np.conjugate(vals[half] * wts[lo:hi])
+        same += left @ vals[half].T
+        cross += left @ vals[rest].T
+    return same, cross
+
+
+def point_block_residual(max_degree, rule):
+    same, cross = point_block_rows(max_degree, rule)
+    same[np.diag_indices_from(same)] -= 1.0
+    return _worst((np.max(np.abs(same)), np.max(np.abs(cross), initial=0.0)))
+
+
+def full_gram(max_degree, same, cross):
+    """G = (J w) @ conj(J)^T rebuilt from the m >= n rows of conj(G): a row
+    with m >= n is their conjugate, and the row of (n, m) is the row of
+    (m, n) with each column (k, l) read at (l, k)."""
+    indices = hermite.basis_indices(max_degree)
+    pos = {mn: i for i, mn in enumerate(indices)}
+    half = [i for i, (m, n) in enumerate(indices) if m >= n]
+    rest = [i for i, (m, n) in enumerate(indices) if m < n]
+    rows = np.empty((len(half), len(indices)), dtype=complex)
+    rows[:, half], rows[:, rest] = same, cross
+    gram = np.empty((len(indices), len(indices)), dtype=complex)
+    swap = [pos[(n, m)] for m, n in indices]
+    for row, i in zip(rows, half):
+        m, n = indices[i]
+        gram[i] = np.conjugate(row)
+        gram[pos[(n, m)]] = row[swap]
+    return gram
+
+
+# basis sizes 1, 3 and 6, 136 and 528 (2 and 3 point blocks at orders 17
+# and 34), 153, 300 and 561 on 289 to 1156 points, and the order-128 rule
+# (16384 points: 10 to 16 blocks of at least 1024)
+GRAM_CASES = [
+    (0, 2), (1, 3), (2, 4), (15, 17), (16, 18), (23, 25), (31, 33), (32, 34), (2, 128), (16, 128),
+]
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53."""
+    u = 2.0**-53
+    return n * u / (1.0 - n * u)
 
 
 class TestGramResidual:
-    # basis sizes 1, 3 and 6 (under 8 rows), 136 and 528 (8 divides them; 2
-    # and 8 blocks), 153, 300 and 561 (it does not; 2, 4 and 8 blocks)
-    @pytest.mark.parametrize("max_degree, order", [
-        (0, 2), (1, 3), (2, 4), (15, 17), (16, 18), (23, 25), (31, 33), (32, 34),
-        (2, 128), (16, 128),
-    ])
-    def test_bit_for_bit_with_one_product(self, max_degree, order):
+    @pytest.mark.parametrize("max_degree, order", GRAM_CASES)
+    def test_bit_for_bit_with_point_blocks(self, max_degree, order):
         rule = gauss_hermite_rule(order)
+        same, cross, mirror = checks._gram_rows(max_degree, rule)
+        want_same, want_cross = point_block_rows(max_degree, rule)
+        assert same.tobytes() == want_same.tobytes()
+        assert cross.tobytes() == want_cross.tobytes()
+        assert mirror == 0.0  # the rows with m < n are their partners' conjugates
         resid, size = checks._gram_residual(max_degree, rule)
         assert size == (max_degree + 1) * (max_degree + 2) // 2
-        assert resid.hex() == one_product_residual(max_degree, rule).hex()
+        assert resid.hex() == point_block_residual(max_degree, rule).hex()
+
+    @pytest.mark.parametrize("max_degree, order", GRAM_CASES)
+    def test_every_entry_within_rounding_of_one_product(self, max_degree, order):
+        # each of the two is a complex inner product of N weighted terms, so it
+        # is within gamma_{N+3} sum_p w_p |J_i||J_j| of the exact sum whatever
+        # the order of its additions (Higham, 2nd ed., 2002, sections 3.1 and 3.6)
+        rule = gauss_hermite_rule(order)
+        pts, wts = rule.tensor_points()
+        vals = hermite.basis_values(max_degree, pts)
+        one = (vals * wts) @ np.conjugate(vals).T
+        got = full_gram(max_degree, *checks._gram_rows(max_degree, rule)[:2])
+        bound = 2.0 * gamma(pts.size + 3) * ((np.abs(vals) * wts) @ np.abs(vals).T)
+        assert np.all(np.abs(got - one) <= bound)
 
     @pytest.mark.parametrize("order", [6, 12, 128])
     def test_quadrature_gram_block(self, order):
         got = checks.check_quadrature(order).details["gram_deg4"]
-        assert got.hex() == one_product_residual(4, gauss_hermite_rule(order)).hex()
+        assert got.hex() == point_block_residual(4, gauss_hermite_rule(order)).hex()
 
-    def test_orthonormality_holds_one_basis_grid(self):
-        # 561 basis rows on 34^2 points; the one product held two grids and
-        # the Gram matrix (24.6 MB traced)
+    @pytest.mark.parametrize("order", [6, 12])
+    def test_selftest_gram_is_one_point_block(self, order):
+        assert len(_blocks(order**2, max(64, _BLOCK // 15))) == 1
+
+    @pytest.mark.parametrize("mutant", ["scaled", "unconjugated"])
+    def test_a_broken_conjugate_row_fails(self, monkeypatch, mutant):
+        # rows with m < n are read as columns (cross) and against their
+        # partners' conjugates (mirror); a scaled one changes no column by
+        # more than rounding, since its products with the m >= n rows vanish
+        indices = hermite.basis_indices(10)
+        row, partner = indices.index((3, 6)), indices.index((6, 3))
+        basis_values = hermite.basis_values
+
+        def broken(max_total, pts):
+            vals = basis_values(max_total, pts)
+            if mutant == "scaled":
+                vals[row] *= 1.0 + 1e-6
+            else:
+                vals[row] = vals[partner]
+            return vals
+
+        assert checks.check_orthonormality(10, order=12).passed
+        monkeypatch.setattr(hermite, "basis_values", broken)
+        report = checks.check_orthonormality(10, order=12)
+        assert report.passed is False and report.max_residual > 1e-7
+        _, cross, mirror = checks._gram_rows(10, gauss_hermite_rule(12))
+        assert mirror > 1e-7
+        if mutant == "unconjugated":
+            assert np.max(np.abs(cross)) > 0.5  # its column meets the row of (6, 3) at 1
+
+    def test_orthonormality_holds_its_gram_rows_and_one_point_block(self):
+        # 561 basis rows (289 with m >= n) on 34^2 points in 64-point blocks;
+        # the parent's row blocks held the whole 561 x 1156 grid (11.8 MiB)
         checks.check_orthonormality(32, order=34)  # warm
-        grid = 561 * 34**2 * 16
+        h, r = 289, 272
+        rows = 16 * (h * h + h * r + h * h)  # both products and one product's temporary
+        block = 16 * 561 * 64
         peak = traced_peak(lambda: checks.check_orthonormality(32, order=34))
-        assert peak <= grid + grid // 4 + MB
+        assert peak <= rows + 2 * block + MB
 
 
 def test_propagators_are_theta_major():

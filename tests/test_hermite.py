@@ -364,6 +364,30 @@ class TestOneArraySums:
         assert project_monomials(PolyZZbar.zero()) == SpectralCoeffs()
 
 
+def per_frequency_basis_values(max_total, pts):
+    """The Laguerre rows one frequency a at a time, each recurrence in k run
+    to its end before the next a starts: the oracle for the rows that
+    hermite.basis_values steps for every a at once."""
+    z = np.asarray(pts, dtype=complex)
+    x = 0.5 * (z.real**2 + z.imag**2)
+    out = np.empty(((max_total + 1) * (max_total + 2) // 2,) + z.shape, dtype=complex)
+    radial = np.ones_like(z)
+    for a in range(max_total + 1):
+        if a:
+            radial = radial * z / math.sqrt(2 * a)
+        prev, cur = np.zeros_like(x), np.ones_like(x)
+        for k in range((max_total - a) // 2 + 1):
+            if k:
+                prev, cur = cur, (
+                    (x - (2 * k - 1 + a)) * cur - math.sqrt((k - 1) * (k - 1 + a)) * prev
+                ) / math.sqrt(k * (k + a))
+            first = (a + 2 * k) * (a + 2 * k + 1) // 2  # row of (0, a + 2k)
+            np.multiply(radial, cur, out=out[first + a + k])  # J[a+k, k]
+            if a:
+                np.conjugate(out[first + a + k], out=out[first + k])  # J[k, a+k]
+    return out
+
+
 class TestBasisGrid:
     @pytest.mark.parametrize("max_total", [0, 1, 7])
     def test_indices_in_items_sorted_order(self, max_total):
@@ -401,6 +425,16 @@ class TestBasisGrid:
         rows = hermite.basis_values(3, pts)
         assert rows.shape == (10, 2, 2)
         assert rows.reshape(10, 4).tobytes() == hermite.basis_values(3, pts.ravel()).tobytes()
+
+    @pytest.mark.parametrize("max_total", [0, 1, 2, 10, 33, MAX_TOTAL_DEGREE])
+    @pytest.mark.parametrize("shape", [(1,), (3, 5)], ids=["one-point", "2-d"])
+    def test_rows_match_the_per_frequency_recurrence(self, max_total, shape):
+        rng = np.random.default_rng(160)
+        pts = 4.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        got = hermite.basis_values(max_total, pts)
+        want = per_frequency_basis_values(max_total, pts)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_gram_at_max_total_degree(self):
         # the advertised basis limit, on the default rule for it

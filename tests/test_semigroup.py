@@ -32,6 +32,9 @@ from complexou import (
     semigroup_spectral,
     synthesize,
 )
+from complexou import checks, quadrature, semigroup
+from complexou.poly import _BLOCK
+from memtrace import traced_peak
 
 
 def random_poly(rng, max_degree):
@@ -241,6 +244,62 @@ class TestNestedSweepBits:
         ):
             assert type(got) is type(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def one_sweep_mehler(p, phi, x, rule):
+    """The Mehler average of every x in one broadcast quadrature sweep."""
+    pts, wts = rule.tensor_points()
+    xv = np.asarray(x, dtype=complex)
+    args = p.decay * xv[..., None] + p.noise_std * pts
+    vals = phi.eval(args) @ wts
+    return complex(vals) if xv.ndim == 0 else vals
+
+
+class TestMehlerBlocks:
+    """semigroup_mehler sweeps an array x in blocks of its ravelled points,
+    each at most poly._BLOCK argument values or 4 rows, with the bits of one
+    sweep and no 1-row block."""
+
+    K2 = default_rule(5).order ** 2  # 49: blocks of 334 rows
+
+    @pytest.mark.parametrize("order", [7, 70], ids=["blocks-of-334", "blocks-of-4"])
+    @pytest.mark.parametrize(
+        "shape", [(), (1,), (2,), (3,), (5,), (K2,), (5, K2), (4, 3), (700,)],
+        ids=lambda s: "x".join(map(str, s)) or "scalar",
+    )
+    def test_matches_one_sweep(self, monkeypatch, order, shape):
+        assert _BLOCK // 70**2 < 4
+        rng = np.random.default_rng(151)
+        phi = random_poly(rng, 5)
+        rule = gauss_hermite_rule(order)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = complex(x) if shape == () else x
+        rows = []
+
+        def eval_at(f, points):
+            rows.append(points.shape[0] if points.ndim == 2 else 0)
+            return quadrature._eval_at(f, points)
+
+        monkeypatch.setattr(semigroup, "_eval_at", eval_at)
+        for theta in (0.0, 0.7, -1.2):
+            p = PropagatorParams(GeneratorParams(theta), 0.8)
+            got, want = semigroup_mehler(p, phi, x, rule), one_sweep_mehler(p, phi, x, rule)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        most = max(4, _BLOCK // order**2)
+        assert all(r <= most for r in rows)
+        if np.size(x) > 1:
+            assert min(rows) >= 2  # a 1-row block runs as a dot product
+        assert sum(rows) == 3 * (np.size(x) if np.ndim(x) else 0)
+
+    def test_adjoint_holds_one_block(self):
+        # order-22 rule: blocks of 33 points x 484 nodes; one sweep over the
+        # 484 outer nodes held 484 x 484 argument and value grids (7.7 MiB)
+        kwargs = {"max_degree": 10, "thetas": (math.pi / 4,), "ts": (1.0,), "n_pairs": 2}
+        checks.check_adjoint(**kwargs)  # warm
+        peak = traced_peak(lambda: checks.check_adjoint(**kwargs))
+        assert peak <= 5 * 16 * _BLOCK  # a block's few grids of at most _BLOCK values
 
 
 class TestAdjointPairing:
