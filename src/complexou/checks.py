@@ -141,9 +141,12 @@ def random_points(rng: np.random.Generator, n: int) -> np.ndarray:
 # -- hermite / quadrature suites ----------------------------------------------
 
 
-# Point blocks of the tensor rule in _gram_rows: a block's basis grid holds
-# at most poly._BLOCK values, and a block has at least _GRAM_BLOCK_POINTS
-# points, so each product's sum over points runs in chunks of that length.
+# Point blocks of the tensor rule in _gram_rows: equal blocks of at most
+# max(_GRAM_BLOCK_POINTS, poly._BLOCK // basis size) points, so a block's
+# basis grid holds at most poly._BLOCK values unless that leaves fewer than
+# 64 points.  The floor matters at high degree: at the basis limit the grid
+# rule alone gives 7-point blocks, which made check_orthonormality(64,
+# order=66) three times slower than 64-point ones.
 _GRAM_BLOCK_POINTS = 64
 
 

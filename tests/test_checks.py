@@ -1,10 +1,10 @@
 """The random inputs of the verification suites: each generator draws its
 coefficients as one block and must give what one scalar draw per part gives.
 The orthonormality Gram matrix, summed over point blocks of the rule, is
-within rounding of one product and holds its rows plus one block's grid.  The suites' shared rules (the
-report verdict, the one NaN-safe fold of the residuals, the (theta, t) grid,
-the exact-sampler runs, the seed range) and the order in which run_all calls
-each suite through its module attribute."""
+within rounding of one product and holds its rows plus one block's grid.
+The suites' shared rules (the report verdict, the one NaN-safe fold of the
+residuals, the (theta, t) grid, the exact-sampler runs, the seed range) and
+the order in which run_all calls each suite through its module attribute."""
 
 import dataclasses
 import inspect
@@ -92,8 +92,8 @@ def test_report_of_a_nan_residual_fails():
 
 
 def point_block_rows(max_degree, rule):
-    """The m >= n rows of conj(G), summed over point blocks of at most
-    poly._BLOCK grid values and at least 64 points, as two products each."""
+    """The m >= n rows of conj(G), summed over equal point blocks of at most
+    max(64, poly._BLOCK // basis size) points, as two products each."""
     pts, wts = rule.tensor_points()
     indices = hermite.basis_indices(max_degree)
     half = [i for i, (m, n) in enumerate(indices) if m >= n]
@@ -115,9 +115,9 @@ def point_block_residual(max_degree, rule):
 
 
 def full_gram(max_degree, same, cross):
-    """G = (J w) @ conj(J)^T rebuilt from the m >= n rows of conj(G): a row
-    with m >= n is their conjugate, and the row of (n, m) is the row of
-    (m, n) with each column (k, l) read at (l, k)."""
+    """G = (J w) @ conj(J)^T rebuilt from the m >= n rows of conj(G): the
+    row of G at (m, n) with m >= n is the conjugate of its row there, and
+    the row at (n, m) is that row with each column (k, l) read at (l, k)."""
     indices = hermite.basis_indices(max_degree)
     pos = {mn: i for i, mn in enumerate(indices)}
     half = [i for i, (m, n) in enumerate(indices) if m >= n]
@@ -133,9 +133,9 @@ def full_gram(max_degree, same, cross):
     return gram
 
 
-# basis sizes 1, 3 and 6, 136 and 528 (2 and 3 point blocks at orders 17
-# and 34), 153, 300 and 561 on 289 to 1156 points, and the order-128 rule
-# (16384 points: 10 to 16 blocks of at least 1024)
+# basis sizes 1, 3 and 6 (one point block), 136 to 561 on 289 to 1156
+# points (3 to 19 blocks of 60 to 96 points), and the order-128 rule (16384
+# points: 7 blocks of 2340 at size 6, 154 of 106 or 107 at size 153)
 GRAM_CASES = [
     (0, 2), (1, 3), (2, 4), (15, 17), (16, 18), (23, 25), (31, 33), (32, 34), (2, 128), (16, 128),
 ]
@@ -177,10 +177,6 @@ class TestGramResidual:
     def test_quadrature_gram_block(self, order):
         got = checks.check_quadrature(order).details["gram_deg4"]
         assert got.hex() == point_block_residual(4, gauss_hermite_rule(order)).hex()
-
-    @pytest.mark.parametrize("order", [6, 12])
-    def test_selftest_gram_is_one_point_block(self, order):
-        assert len(_blocks(order**2, max(64, _BLOCK // 15))) == 1
 
     @pytest.mark.parametrize("mutant", ["scaled", "unconjugated"])
     def test_a_broken_conjugate_row_fails(self, monkeypatch, mutant):

@@ -255,20 +255,24 @@ def one_sweep_mehler(p, phi, x, rule):
     return complex(vals) if xv.ndim == 0 else vals
 
 
+# order 7: 49 nodes, blocks of up to 334 points, with the rule's 49 nodes
+# and the (5, 49) inner call of normality_commutator; orders 70 and 91:
+# _BLOCK // K^2 is 3 and 1, so blocks of up to 4 points
+MEHLER_SHAPES = [(), (1,), (2,), (3,), (5,), (9,), (4, 3), (49,)]
+MEHLER_CASES = [(7, s) for s in MEHLER_SHAPES + [(5, 49), (700,)]]
+MEHLER_CASES += [(order, s) for order in (70, 91) for s in MEHLER_SHAPES]
+
+
 class TestMehlerBlocks:
     """semigroup_mehler sweeps an array x in blocks of its ravelled points,
     each at most poly._BLOCK argument values or 4 rows, with the bits of one
     sweep and no 1-row block."""
 
-    K2 = default_rule(5).order ** 2  # 49: blocks of 334 rows
-
-    @pytest.mark.parametrize("order", [7, 70], ids=["blocks-of-334", "blocks-of-4"])
     @pytest.mark.parametrize(
-        "shape", [(), (1,), (2,), (3,), (5,), (K2,), (5, K2), (4, 3), (700,)],
-        ids=lambda s: "x".join(map(str, s)) or "scalar",
+        "order, shape", MEHLER_CASES,
+        ids=[f"{o}-{'x'.join(map(str, s)) or 'scalar'}" for o, s in MEHLER_CASES],
     )
     def test_matches_one_sweep(self, monkeypatch, order, shape):
-        assert _BLOCK // 70**2 < 4
         rng = np.random.default_rng(151)
         phi = random_poly(rng, 5)
         rule = gauss_hermite_rule(order)
