@@ -28,7 +28,9 @@ from .operator import (
     carre_du_champ,
     carre_du_champ_via_generator,
     chain_rule_sides,
+    combine_generator_terms,
     eigenvalue,
+    generator_terms,
 )
 from .poly import _BLOCK, PolyZZbar, PolyWWbar, _blocks, _worst
 from .quadrature import QuadratureRule, default_rule, gauss_hermite_rule, integrate_gamma
@@ -141,59 +143,89 @@ def random_points(rng: np.random.Generator, n: int) -> np.ndarray:
 # -- hermite / quadrature suites ----------------------------------------------
 
 
-# Point blocks of the tensor rule in _gram_rows: equal blocks of at most
-# max(_GRAM_BLOCK_POINTS, poly._BLOCK // basis size) points, so a block's
-# basis grid holds at most poly._BLOCK values unless that leaves fewer than
-# 64 points.  The floor matters at high degree: at the basis limit the grid
-# rule alone gives 7-point blocks, which made check_orthonormality(64,
-# order=66) three times slower than 64-point ones.
-_GRAM_BLOCK_POINTS = 64
+# Rows and columns of the Gram tiles in _gram_tiles: equal tiles of at most
+# _GRAM_TILE of the basis rows with m >= n, so a tile product holds at most
+# poly._BLOCK entries.
+_GRAM_TILE = math.isqrt(_BLOCK)
 
 
-def _gram_rows(max_degree: int, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray, float]:
-    """The rows with m >= n of conj(G), G = (J w) @ conj(J)^T the Gram matrix
-    of {J[m,n] : m+n <= max_degree} under the tensor rule: (their columns
-    with m >= n, their columns with m < n, in :func:`hermite.basis_indices`
-    order), and the worst |J[n,m] - conj(J[m,n])| on the grid.
+def _mirror_defect(max_degree: int, vals: np.ndarray) -> float:
+    """The worst |J[n,m] - conj(J[m,n])| over the rows with m < n of a basis
+    grid.  Degree l holds (m, l-m) at rows first + m, so its rows with m < n
+    and their partners (l-m, m) are two slices, the second read backwards."""
+    defects = []
+    for l in range(1, max_degree + 1):
+        first, count = l * (l + 1) // 2, (l + 1) // 2
+        rest, partner = vals[first : first + count], vals[first + l : first + l - count : -1]
+        defects.append(np.max(np.abs(rest - np.conjugate(partner)), initial=0.0))
+    return _worst(defects)
 
-    A row with m < n is the conjugate of its partner's, so G[(n,m), (l,k)] =
-    conj(G[(m,n), (k,l)]) and these rows hold every entry of G up to
-    conjugation: half of G is formed.  The last value checks that premise on
-    the grid (it is 0 for :func:`hermite.basis_values`).  The sum over the
-    points runs in point blocks of the rule, one block's basis grid at a
-    time, so the kernel holds the two products and one block's grid.
+
+def _gram_tiles(
+    max_degree: int, rule: QuadratureRule
+) -> tuple[list[list[int]], dict, dict, float]:
+    """The upper triangle of two matrices over the basis rows with m >= n,
+    under the tensor rule, tile by tile: (tiles, herm, sym, mirror).
+
+    With V those rows on the grid and W = V w, herm = conj(W) @ V^T, which is
+    conj(G) on those rows for the Gram matrix G = (J w) @ conj(J)^T of
+    {J[m,n] : m+n <= max_degree}, and sym = W @ V^T.  ``tiles`` lists each
+    tile's basis rows (in :func:`hermite.basis_indices` order), and herm and
+    sym map each tile pair (a, b) with a <= b to its block; the blocks below
+    the diagonal are their transposes, conjugated for herm.  ``mirror`` is
+    the worst |J[n,m] - conj(J[m,n])| on the grid (0 for
+    :func:`hermite.basis_values`).
+
+    A row with m < n is the conjugate of its partner's, so G[(m,n), (l,k)]
+    with k < l is sym[(m,n), (k,l)] and every entry of G is an entry of herm
+    or sym up to conjugation: each is formed once.  The sum over the points
+    runs in the point blocks of :func:`hermite._basis_blocks`, so the kernel
+    holds both triangles and one block's grid.
     """
     pts, wts = rule.tensor_points()
-    indices = hermite.basis_indices(max_degree)
-    half = [i for i, (m, n) in enumerate(indices) if m >= n]
-    rest = [i for i, (m, n) in enumerate(indices) if m < n]
-    partner = [i + n - m for i, (m, n) in enumerate(indices) if m < n]  # (n, m)
-    same = np.zeros((len(half), len(half)), dtype=complex)
-    cross = np.zeros((len(half), len(rest)), dtype=complex)
+    half = [i for i, (m, n) in enumerate(hermite.basis_indices(max_degree)) if m >= n]
+    tiles = [half[lo:hi] for lo, hi in _blocks(len(half), _GRAM_TILE)]
+    herm = {
+        (a, b): np.zeros((len(tiles[a]), len(tiles[b])), dtype=complex)
+        for a in range(len(tiles)) for b in range(a, len(tiles))
+    }
+    sym = {ab: np.zeros_like(block) for ab, block in herm.items()}
     mirror = []
-    for lo, hi in _blocks(pts.size, max(_GRAM_BLOCK_POINTS, _BLOCK // len(indices))):
-        vals = hermite.basis_values(max_degree, pts[lo:hi])
-        right = vals[half]
-        left = np.conjugate(right * wts[lo:hi])
-        same += left @ right.T
-        cross += left @ vals[rest].T
-        mirror.append(np.max(np.abs(vals[rest] - np.conjugate(vals[partner])), initial=0.0))
-    return same, cross, _worst(mirror)
+    for lo, hi, vals in hermite._basis_blocks(max_degree, pts):
+        mirror.append(_mirror_defect(max_degree, vals))
+        rows = [vals[tile] for tile in tiles]
+        del vals
+        for a, right in enumerate(rows):
+            weighted = right * wts[lo:hi]
+            left = np.conjugate(weighted)
+            for b in range(a, len(rows)):
+                herm[a, b] += left @ rows[b].T
+                sym[a, b] += weighted @ rows[b].T
+    return tiles, herm, sym, _worst(mirror)
 
 
 def _gram_residual(max_degree: int, rule: QuadratureRule) -> tuple[float, int]:
     """Worst entry of the Gram matrix of {J[m,n] : m+n <= max_degree} under
     the tensor rule minus the identity, and the basis size.
 
-    The rows of :func:`_gram_rows` hold every entry of G up to conjugation,
-    and the diagonal lies in their m >= n columns, so |G - I| is theirs,
+    Every entry of G is one of :func:`_gram_tiles`' up to conjugation: the
+    entries between rows with m >= n are herm's, whose diagonal is G's, and
+    the others are the entries of sym whose row or column has m > n,
     provided the rows with m < n are their partners' conjugates, whose
-    defect is folded in too.
+    defect is folded in too.  The entries of sym between two rows with
+    m = n are not Gram entries: the J[n,n] are real on the grid, so they
+    repeat herm's, with no identity subtracted, and are left out.
     """
-    same, cross, mirror = _gram_rows(max_degree, rule)
-    same[np.diag_indices_from(same)] -= 1.0
-    worst = (np.max(np.abs(same)), np.max(np.abs(cross), initial=0.0), mirror)
-    return _worst(worst), len(same) + cross.shape[1]
+    tiles, herm, sym, mirror = _gram_tiles(max_degree, rule)
+    indices = hermite.basis_indices(max_degree)
+    radial = [np.array([indices[i][0] == indices[i][1] for i in tile]) for tile in tiles]
+    worst = [mirror]
+    for (a, b), block in herm.items():
+        if a == b:
+            block[np.diag_indices_from(block)] -= 1.0
+        sym[a, b][np.ix_(radial[a], radial[b])] = 0.0
+        worst += (np.max(np.abs(block)), np.max(np.abs(sym[a, b])))
+    return _worst(worst), len(indices)
 
 
 def check_orthonormality(max_degree: int = 10, order: int = 12) -> CheckReport:
@@ -210,12 +242,14 @@ def check_eigenrelation(
 ) -> CheckReport:
     """Coefficientwise residual of L J[m,n] = lambda[m,n] J[m,n], scaled by
     max(1, max coefficient of lambda*J)."""
+    all_params = [GeneratorParams(theta) for theta in thetas]
     resids = []
-    for params in map(GeneratorParams, thetas):
-        for m, n in hermite.basis_indices(max_degree):
-            j = hermite.complex_hermite(m, n)
+    for m, n in hermite.basis_indices(max_degree):
+        j = hermite.complex_hermite(m, n)
+        terms = generator_terms(j)  # theta-free, shared by every angle
+        for params in all_params:
             target = j * eigenvalue(params, m, n)
-            resid = (apply_generator_wirtinger(params, j) - target).max_abs_coeff()
+            resid = (combine_generator_terms(params, terms) - target).max_abs_coeff()
             resids.append(resid / max(1.0, target.max_abs_coeff()))
     return CheckReport.within(
         "eigenrelation", resids, 1e-9, {"max_degree": max_degree, "thetas": list(thetas)}
@@ -266,7 +300,8 @@ def check_quadrature(order: int = 12) -> CheckReport:
 
 
 def check_roundtrip(max_degree: int = 10) -> CheckReport:
-    """synthesize(project(phi)) recovers phi coefficientwise (exact expansion)."""
+    """synthesize(project_monomials(phi)) recovers phi coefficientwise (the
+    exact monomial expansion, no quadrature)."""
     resids = []
     for a, b in hermite.basis_indices(max_degree):
         p = PolyZZbar({(a, b): 1.0 + 0.5j})
@@ -350,9 +385,9 @@ def check_operator_normality(
     for params in map(GeneratorParams, thetas):
         adj = adjoint_params(params)
         for _ in range(5):
-            phi = random_poly(rng, max_degree)
-            a = apply_generator_wirtinger(params, apply_generator_wirtinger(adj, phi))
-            b = apply_generator_wirtinger(adj, apply_generator_wirtinger(params, phi))
+            terms = generator_terms(random_poly(rng, max_degree))  # of phi, for L and L*
+            a = apply_generator_wirtinger(params, combine_generator_terms(adj, terms))
+            b = apply_generator_wirtinger(adj, combine_generator_terms(params, terms))
             resids.append((a - b).max_abs_coeff() / (1.0 + a.max_abs_coeff()))
     return CheckReport.within(
         "generator-normality", resids, 1e-10, {"max_degree": max_degree, "thetas": list(thetas)}

@@ -346,7 +346,7 @@ COMMANDS = (
     Command(("hermite", "transform"), "level-l change of basis matrices and residuals", (
         ("--degree", dict(type=int, required=True)),
     ), _cmd_hermite_transform, tol=True),
-    Command(("hermite", "roundtrip"), "project/synthesize round trip residual", (
+    Command(("hermite", "roundtrip"), "project_monomials/synthesize round trip residual", (
         ("--max-degree", dict(type=_degree, default=10)),
     ), tol=True, run=lambda a: checks.check_roundtrip(max_degree=a.max_degree)),
     Command(("operator", "eigen"), "eigenvalue lambda[m,n] of the generator", (

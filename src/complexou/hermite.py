@@ -49,13 +49,21 @@ from typing import Iterator
 
 import numpy as np
 
-from .poly import _Z, _ZBAR, PolyZZbar, _lincomb, _worst, _wrap
+from .poly import _BLOCK, _Z, _ZBAR, PolyZZbar, _blocks, _lincomb, _worst, _wrap
 from .spectral import MAX_TOTAL_DEGREE, SpectralCoeffs
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k by k mod 4
 
 MAX_CREATION_DEGREE = 32
 MAX_TRANSFORM_DEGREE = 64
+
+# Point blocks of :func:`_basis_blocks`: equal blocks of at most
+# max(_BLOCK_POINTS, poly._BLOCK // basis size) points, so a block's basis
+# grid holds at most poly._BLOCK values unless that leaves fewer than 64
+# points.  The floor matters at high degree: at the basis limit the grid rule
+# alone gives 7-point blocks, which made check_orthonormality(64, order=66)
+# three times slower than 64-point ones.
+_BLOCK_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -205,6 +213,16 @@ def basis_values(max_total: int, pts: np.ndarray) -> np.ndarray:
         out[first + a + k] = radial[: a.size] * cur  # J[a+k, k]
         out[first[1:] + k] = np.conjugate(out[first[1:] + a[1:] + k])  # J[k, a+k]
     return out.reshape(out.shape[:1] + shape)
+
+
+def _basis_blocks(max_total: int, pts: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(lo, hi, basis_values(max_total, pts[lo:hi])) over equal point blocks
+    of the flat array pts, in order: the basis grid one block at a time, as
+    the Gram matrix and quadrature projections sum over it.  Each block's
+    grid is the caller's to overwrite."""
+    size = (max_total + 1) * (max_total + 2) // 2
+    for lo, hi in _blocks(pts.size, max(_BLOCK_POINTS, _BLOCK // size)):
+        yield lo, hi, basis_values(max_total, pts[lo:hi])
 
 
 def _creation_scale(m: int, n: int) -> float:

@@ -92,17 +92,28 @@ def adjoint_params(params: GeneratorParams) -> GeneratorParams:
     return GeneratorParams(-params.theta)
 
 
-def apply_generator_wirtinger(params: GeneratorParams, phi: PolyZZbar) -> PolyZZbar:
-    """Apply the generator in differential form by exact polynomial algebra."""
-    c = 4.0 * params.cos_theta
-    drift = params.drift
+def generator_terms(phi: PolyZZbar) -> tuple[PolyZZbar, PolyZZbar, PolyZZbar]:
+    """The theta-free terms of the generator applied to phi:
+    (d^2 phi / dz dzbar, z dphi/dz, zbar dphi/dzbar)."""
     dz = phi.wirtinger_dz()
     dzbar = phi.wirtinger_dzbar()
-    return (
-        dz.wirtinger_dzbar() * c
-        - _Z * dz * drift
-        - _ZBAR * dzbar * drift.conjugate()
-    )
+    return dz.wirtinger_dzbar(), _Z * dz, _ZBAR * dzbar
+
+
+def combine_generator_terms(
+    params: GeneratorParams, terms: tuple[PolyZZbar, PolyZZbar, PolyZZbar]
+) -> PolyZZbar:
+    """L phi from :func:`generator_terms` (phi): 4 cos(theta) times the first,
+    minus e^{i theta} times the second, minus e^{-i theta} times the third."""
+    laplacian, euler, euler_bar = terms
+    c = 4.0 * params.cos_theta
+    drift = params.drift
+    return laplacian * c - euler * drift - euler_bar * drift.conjugate()
+
+
+def apply_generator_wirtinger(params: GeneratorParams, phi: PolyZZbar) -> PolyZZbar:
+    """Apply the generator in differential form by exact polynomial algebra."""
+    return combine_generator_terms(params, generator_terms(phi))
 
 
 def apply_generator_spectral(params: GeneratorParams, f: SpectralCoeffs) -> SpectralCoeffs:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import basis_indices, basis_values
+from .hermite import _basis_blocks, basis_indices
 from .spectral import SpectralCoeffs
 
 MAX_ORDER = 128
@@ -111,11 +111,18 @@ def project(rule: QuadratureRule, f, max_total_degree: int) -> SpectralCoeffs:
     """Coefficients b[m,n] = <f, J[m,n]> for all m + n <= max_total_degree.
 
     The rule must be exact for degree 2*max_total_degree products when f is a
-    polynomial of that degree (the default_rule is).
+    polynomial of that degree (the default_rule is).  The sum runs over the
+    point blocks of :func:`hermite._basis_blocks`, one block's basis grid at
+    a time, and within a block each coefficient is one ``np.sum`` of its
+    weighted row, so a rule of one block gives one sum per coefficient.
     """
     if max_total_degree < 0:
         raise ValueError("max_total_degree must be >= 0")
     pts, wts = rule.tensor_points()
     fw = _eval_at(f, pts) * wts
-    rows = zip(basis_indices(max_total_degree), basis_values(max_total_degree, pts))
-    return SpectralCoeffs({mn: complex(np.sum(fw * np.conjugate(row))) for mn, row in rows})
+    total = None
+    for lo, hi, vals in _basis_blocks(max_total_degree, pts):
+        terms = np.multiply(fw[lo:hi], np.conjugate(vals, out=vals), out=vals)
+        part = np.sum(terms, axis=1)
+        total = part if total is None else total + part
+    return SpectralCoeffs(dict(zip(basis_indices(max_total_degree), total.tolist())))

@@ -1,7 +1,8 @@
 """The random inputs of the verification suites: each generator draws its
 coefficients as one block and must give what one scalar draw per part gives.
-The orthonormality Gram matrix, summed over point blocks of the rule, is
-within rounding of one product and holds its rows plus one block's grid.
+The orthonormality Gram matrix, summed over point blocks of the rule as two
+upper triangles of tiles, is within rounding of one product and holds its
+triangles plus one block's grid.
 The suites' shared rules (the report verdict, the one NaN-safe fold of the
 residuals, the (theta, t) grid, the exact-sampler runs, the seed range) and
 the order in which run_all calls each suite through its module attribute."""
@@ -91,51 +92,72 @@ def test_report_of_a_nan_residual_fails():
     assert report.passed is False and math.isnan(report.max_residual)
 
 
-def point_block_rows(max_degree, rule):
-    """The m >= n rows of conj(G), summed over equal point blocks of at most
-    max(64, poly._BLOCK // basis size) points, as two products each."""
+def tiled_gram(max_degree, rule):
+    """herm = conj(V w) @ V^T and sym = (V w) @ V^T on the basis rows V with
+    m >= n, summed over equal point blocks of at most max(64, poly._BLOCK //
+    basis size) points, one product per pair a <= b of the equal row tiles
+    of at most isqrt(poly._BLOCK) rows: (tiles, herm, sym)."""
     pts, wts = rule.tensor_points()
     indices = hermite.basis_indices(max_degree)
     half = [i for i, (m, n) in enumerate(indices) if m >= n]
-    rest = [i for i, (m, n) in enumerate(indices) if m < n]
-    same = np.zeros((len(half), len(half)), dtype=complex)
-    cross = np.zeros((len(half), len(rest)), dtype=complex)
+    tiles = [half[lo:hi] for lo, hi in _blocks(len(half), math.isqrt(_BLOCK))]
+    herm, sym = {}, {}
+    for a, b in itertools.combinations_with_replacement(range(len(tiles)), 2):
+        herm[a, b] = np.zeros((len(tiles[a]), len(tiles[b])), dtype=complex)
+        sym[a, b] = np.zeros((len(tiles[a]), len(tiles[b])), dtype=complex)
     for lo, hi in _blocks(pts.size, max(64, _BLOCK // len(indices))):
         vals = hermite.basis_values(max_degree, pts[lo:hi])
-        left = np.conjugate(vals[half] * wts[lo:hi])
-        same += left @ vals[half].T
-        cross += left @ vals[rest].T
-    return same, cross
+        for a, b in herm:
+            weighted = vals[tiles[a]] * wts[lo:hi]
+            herm[a, b] += np.conjugate(weighted) @ vals[tiles[b]].T
+            sym[a, b] += weighted @ vals[tiles[b]].T
+    return tiles, herm, sym
 
 
-def point_block_residual(max_degree, rule):
-    same, cross = point_block_rows(max_degree, rule)
-    same[np.diag_indices_from(same)] -= 1.0
-    return _worst((np.max(np.abs(same)), np.max(np.abs(cross), initial=0.0)))
+def on_axis(max_degree, tile):
+    """Which rows of a tile have m = n."""
+    indices = hermite.basis_indices(max_degree)
+    return np.array([indices[i][0] == indices[i][1] for i in tile])
 
 
-def full_gram(max_degree, same, cross):
-    """G = (J w) @ conj(J)^T rebuilt from the m >= n rows of conj(G): the
-    row of G at (m, n) with m >= n is the conjugate of its row there, and
-    the row at (n, m) is that row with each column (k, l) read at (l, k)."""
+def tiled_residual(max_degree, rule):
+    """The worst |herm - I| and the worst |sym| off the entries between two
+    rows with m = n, over every tile pair of :func:`tiled_gram`."""
+    tiles, herm, sym = tiled_gram(max_degree, rule)
+    worst = []
+    for (a, b), block in herm.items():
+        worst.append(np.max(np.abs(block - np.equal.outer(tiles[a], tiles[b]))))
+        gram = ~np.logical_and.outer(on_axis(max_degree, tiles[a]), on_axis(max_degree, tiles[b]))
+        worst.append(np.max(np.abs(sym[a, b][gram]), initial=0.0))
+    return _worst(worst)
+
+
+def full_gram(max_degree, tiles, herm, sym):
+    """G = (J w) @ conj(J)^T rebuilt from the two upper triangles.  Row p of
+    J is row q of V when p has m >= n and its conjugate when p has m < n (q
+    is then its partner's), so G[p, p'] is conj(herm[q, q']), sym[q, q'],
+    conj(sym[q, q']) or herm[q, q'] as (p, p') has (m >= n, m >= n),
+    (m >= n, m < n), (m < n, m >= n) or (m < n, m < n)."""
     indices = hermite.basis_indices(max_degree)
     pos = {mn: i for i, mn in enumerate(indices)}
-    half = [i for i, (m, n) in enumerate(indices) if m >= n]
-    rest = [i for i, (m, n) in enumerate(indices) if m < n]
-    rows = np.empty((len(half), len(indices)), dtype=complex)
-    rows[:, half], rows[:, rest] = same, cross
-    gram = np.empty((len(indices), len(indices)), dtype=complex)
-    swap = [pos[(n, m)] for m, n in indices]
-    for row, i in zip(rows, half):
-        m, n = indices[i]
-        gram[i] = np.conjugate(row)
-        gram[pos[(n, m)]] = row[swap]
-    return gram
+    half = [i for tile in tiles for i in tile]
+    ends = np.cumsum([0] + [len(tile) for tile in tiles])
+    whole_herm = np.empty((len(half), len(half)), dtype=complex)
+    whole_sym = np.empty((len(half), len(half)), dtype=complex)
+    for (a, b), block in herm.items():
+        rows, cols = slice(ends[a], ends[a + 1]), slice(ends[b], ends[b + 1])
+        whole_herm[rows, cols], whole_herm[cols, rows] = block, np.conjugate(block).T
+        whole_sym[rows, cols], whole_sym[cols, rows] = sym[a, b], sym[a, b].T
+    q = [half.index(pos[max(m, n), min(m, n)]) for m, n in indices]
+    flip = np.array([m < n for m, n in indices])
+    g = np.where(np.equal.outer(flip, flip), whole_herm[np.ix_(q, q)], whole_sym[np.ix_(q, q)])
+    return np.where(flip[None, :], g, np.conjugate(g))
 
 
 # basis sizes 1, 3 and 6 (one point block), 136 to 561 on 289 to 1156
-# points (3 to 19 blocks of 60 to 96 points), and the order-128 rule (16384
-# points: 7 blocks of 2340 at size 6, 154 of 106 or 107 at size 153)
+# points (3 to 19 blocks of 60 to 96 points; 1 to 3 row tiles, 36 to 289
+# rows with m >= n), and the order-128 rule (16384 points: 7 blocks of 2340
+# at size 6, 154 of 106 or 107 at size 153)
 GRAM_CASES = [
     (0, 2), (1, 3), (2, 4), (15, 17), (16, 18), (23, 25), (31, 33), (32, 34), (2, 128), (16, 128),
 ]
@@ -151,14 +173,17 @@ class TestGramResidual:
     @pytest.mark.parametrize("max_degree, order", GRAM_CASES)
     def test_bit_for_bit_with_point_blocks(self, max_degree, order):
         rule = gauss_hermite_rule(order)
-        same, cross, mirror = checks._gram_rows(max_degree, rule)
-        want_same, want_cross = point_block_rows(max_degree, rule)
-        assert same.tobytes() == want_same.tobytes()
-        assert cross.tobytes() == want_cross.tobytes()
+        tiles, herm, sym, mirror = checks._gram_tiles(max_degree, rule)
+        want_tiles, want_herm, want_sym = tiled_gram(max_degree, rule)
+        assert tiles == want_tiles
+        assert list(herm) == list(want_herm) and list(sym) == list(want_sym)
+        for ab in want_herm:
+            assert herm[ab].tobytes() == want_herm[ab].tobytes()
+            assert sym[ab].tobytes() == want_sym[ab].tobytes()
         assert mirror == 0.0  # the rows with m < n are their partners' conjugates
         resid, size = checks._gram_residual(max_degree, rule)
         assert size == (max_degree + 1) * (max_degree + 2) // 2
-        assert resid.hex() == point_block_residual(max_degree, rule).hex()
+        assert resid.hex() == tiled_residual(max_degree, rule).hex()
 
     @pytest.mark.parametrize("max_degree, order", GRAM_CASES)
     def test_every_entry_within_rounding_of_one_product(self, max_degree, order):
@@ -169,23 +194,24 @@ class TestGramResidual:
         pts, wts = rule.tensor_points()
         vals = hermite.basis_values(max_degree, pts)
         one = (vals * wts) @ np.conjugate(vals).T
-        got = full_gram(max_degree, *checks._gram_rows(max_degree, rule)[:2])
+        got = full_gram(max_degree, *checks._gram_tiles(max_degree, rule)[:3])
         bound = 2.0 * gamma(pts.size + 3) * ((np.abs(vals) * wts) @ np.abs(vals).T)
         assert np.all(np.abs(got - one) <= bound)
 
     @pytest.mark.parametrize("order", [6, 12, 128])
     def test_quadrature_gram_block(self, order):
         got = checks.check_quadrature(order).details["gram_deg4"]
-        assert got.hex() == point_block_residual(4, gauss_hermite_rule(order)).hex()
+        assert got.hex() == tiled_residual(4, gauss_hermite_rule(order)).hex()
 
     @pytest.mark.parametrize("mutant", ["scaled", "unconjugated"])
     def test_a_broken_conjugate_row_fails(self, monkeypatch, mutant):
-        # rows with m < n are read as columns (cross) and against their
-        # partners' conjugates (mirror); a scaled one changes no column by
-        # more than rounding, since its products with the m >= n rows vanish
+        # the kernel reads a row with m < n only against its partner's
+        # conjugate (mirror); its Gram entries are taken from the partner's
         indices = hermite.basis_indices(10)
         row, partner = indices.index((3, 6)), indices.index((6, 3))
         basis_values = hermite.basis_values
+        rule = gauss_hermite_rule(12)
+        _, herm, sym, _ = checks._gram_tiles(10, rule)
 
         def broken(max_total, pts):
             vals = basis_values(max_total, pts)
@@ -199,20 +225,91 @@ class TestGramResidual:
         monkeypatch.setattr(hermite, "basis_values", broken)
         report = checks.check_orthonormality(10, order=12)
         assert report.passed is False and report.max_residual > 1e-7
-        _, cross, mirror = checks._gram_rows(10, gauss_hermite_rule(12))
-        assert mirror > 1e-7
-        if mutant == "unconjugated":
-            assert np.max(np.abs(cross)) > 0.5  # its column meets the row of (6, 3) at 1
+        _, broken_herm, broken_sym, mirror = checks._gram_tiles(10, rule)
+        assert report.max_residual == mirror
+        assert all(broken_herm[ab].tobytes() == herm[ab].tobytes() for ab in herm)
+        assert all(broken_sym[ab].tobytes() == sym[ab].tobytes() for ab in sym)
+
+    def test_a_scaled_row_with_m_at_least_n_fails(self, monkeypatch):
+        # a row with m >= n is read by both triangles: scaled by 1 + 1e-6 its
+        # diagonal entry of herm moves by 2e-6
+        indices = hermite.basis_indices(10)
+        row = indices.index((6, 3))
+        basis_values = hermite.basis_values
+
+        def broken(max_total, pts):
+            vals = basis_values(max_total, pts)
+            vals[row] *= 1.0 + 1e-6
+            return vals
+
+        monkeypatch.setattr(hermite, "basis_values", broken)
+        report = checks.check_orthonormality(10, order=12)
+        assert report.passed is False and report.max_residual > 1e-7
+        tiles, herm, _, _ = checks._gram_tiles(10, gauss_hermite_rule(12))
+        at = tiles[0].index(row)  # 36 rows with m >= n: one tile
+        assert abs(herm[0, 0][at, at] - 1.0) > 1.9e-6
+
+    def test_sym_entries_between_two_rows_with_m_equal_n_never_enter(self, monkeypatch):
+        # they repeat herm's, since the J[n,n] are real on the grid, but with
+        # no identity subtracted: about 1 on the diagonal
+        rule = gauss_hermite_rule(25)
+        want, _ = checks._gram_residual(23, rule)
+        gram_tiles = checks._gram_tiles
+
+        def overwritten(masked):
+            def tiles_with(max_degree, rule):
+                tiles, herm, sym, mirror = gram_tiles(max_degree, rule)
+                for (a, b), block in sym.items():
+                    both = np.logical_and.outer(
+                        on_axis(max_degree, tiles[a]), on_axis(max_degree, tiles[b])
+                    )
+                    if masked:
+                        assert a != b or np.max(np.abs(block[both])) > 0.9
+                        block[both] = math.nan
+                    else:
+                        block[~both] = 0.5
+                return tiles, herm, sym, mirror
+            return tiles_with
+
+        monkeypatch.setattr(checks, "_gram_tiles", overwritten(True))
+        assert checks._gram_residual(23, rule)[0].hex() == want.hex()
+        monkeypatch.setattr(checks, "_gram_tiles", overwritten(False))
+        assert checks._gram_residual(23, rule)[0] == 0.5
 
     def test_orthonormality_holds_its_gram_rows_and_one_point_block(self):
-        # 561 basis rows (289 with m >= n) on 34^2 points in 64-point blocks;
-        # the parent's row blocks held the whole 561 x 1156 grid (11.8 MiB)
+        # 561 basis rows (289 with m >= n, in 3 tiles) on 34^2 points in
+        # 64-point blocks; both triangles are 6 of the 9 tile pairs of the
+        # parent's two products (2.6 MB) and their temporary
         checks.check_orthonormality(32, order=34)  # warm
-        h, r = 289, 272
-        rows = 16 * (h * h + h * r + h * h)  # both products and one product's temporary
-        block = 16 * 561 * 64
+        tiles = [hi - lo for lo, hi in _blocks(289, math.isqrt(_BLOCK))]
+        triangles = 2 * 16 * sum(a * b for a, b in itertools.combinations_with_replacement(tiles, 2))
+        block = 16 * 561 * 64  # one block's grid; the tiles gathered from it are half of one
         peak = traced_peak(lambda: checks.check_orthonormality(32, order=34))
-        assert peak <= rows + 2 * block + MB
+        assert peak <= triangles + 2 * block + MB // 2
+
+
+def test_generator_suites_match_their_per_angle_loops():
+    # both suites form the theta-free terms of each polynomial once and
+    # combine them per angle; these are their loops over whole generators
+    resids = []
+    for params in map(checks.GeneratorParams, checks.THETA_SIX):
+        for m, n in hermite.basis_indices(12):
+            j = hermite.complex_hermite(m, n)
+            target = j * checks.eigenvalue(params, m, n)
+            resid = (checks.apply_generator_wirtinger(params, j) - target).max_abs_coeff()
+            resids.append(resid / max(1.0, target.max_abs_coeff()))
+    assert checks.check_eigenrelation(12).max_residual.hex() == _worst(resids).hex()
+
+    rng = np.random.default_rng(checks.DEFAULT_SEED)
+    resids = []
+    for params in map(checks.GeneratorParams, checks.THETA_WIDE):
+        adj = checks.adjoint_params(params)
+        for _ in range(5):
+            phi = checks.random_poly(rng, 6)
+            a = checks.apply_generator_wirtinger(params, checks.apply_generator_wirtinger(adj, phi))
+            b = checks.apply_generator_wirtinger(adj, checks.apply_generator_wirtinger(params, phi))
+            resids.append((a - b).max_abs_coeff() / (1.0 + a.max_abs_coeff()))
+    assert checks.check_operator_normality().max_residual.hex() == _worst(resids).hex()
 
 
 def test_propagators_are_theta_major():
@@ -347,7 +444,7 @@ def nan_rows(fn):
 NAN_ROUTES = [
     ("check_quadrature", {"order": 10}, checks, "integrate_gamma", nan_times),
     ("check_orthonormality", {"max_degree": 3, "order": 5}, hermite, "basis_values", nan_times),
-    ("check_eigenrelation", {"max_degree": 3}, checks, "apply_generator_wirtinger", nan_times),
+    ("check_eigenrelation", {"max_degree": 3}, checks, "combine_generator_terms", nan_times),
     ("check_transform", {"max_degree": 3}, hermite, "build_basis_transform", nan_inverse),
     ("check_construction", {"max_total": 4}, hermite, "creation_ladder", nan_built),
     ("check_roundtrip", {"max_degree": 3}, hermite, "synthesize", nan_times),

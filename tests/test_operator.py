@@ -28,7 +28,7 @@ from complexou import (
     synthesize,
 )
 from complexou import checks
-from complexou.operator import THETA_BOUND
+from complexou.operator import THETA_BOUND, combine_generator_terms, generator_terms
 from complexou.spectral import MAX_TOTAL_DEGREE
 
 THETAS = (0.0, math.pi / 6, -math.pi / 6, math.pi / 4, -math.pi / 4, 0.49 * math.pi, -0.49 * math.pi)
@@ -151,6 +151,20 @@ class TestGeneratorWirtingerForm:
                     assert np.array_equal(
                         np.signbit(getattr(got, part)), np.signbit(getattr(want, part))
                     )
+
+    def test_shared_terms_match_the_generator_bit_for_bit(self):
+        # the theta-free terms of phi, formed once and combined at every angle
+        rng = np.random.default_rng(29)
+        phis = [random_poly(rng, d) for d in range(9)]
+        phis += [complex_hermite(m, n) for m in range(8) for n in range(8 - m)]
+        for phi in phis:
+            terms = generator_terms(phi)
+            for theta in THETAS + (THETA_BOUND, -THETA_BOUND):
+                params = GeneratorParams(theta)
+                got = combine_generator_terms(params, terms)._c
+                for want in (apply_generator_wirtinger(params, phi)._c,
+                             self.fresh_monomial_generator(params, phi)._c):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_nonsymmetric_for_nonzero_angle(self):
         # <L phi, phi> != <phi, L phi> once the eigenvalues go complex

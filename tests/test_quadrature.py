@@ -1,5 +1,6 @@
 """Gauss-Hermite quadrature against the planar Gaussian: exactness oracles,
-inner products, projection onto the orthonormal basis, and Parseval.
+inner products, projection onto the orthonormal basis (summed over point
+blocks, one block's basis grid at a time), and Parseval.
 """
 
 import math
@@ -20,6 +21,7 @@ from complexou import (
 from complexou import hermite
 from complexou.quadrature import MAX_ORDER
 from complexou.spectral import SpectralCoeffs
+from memtrace import MB, traced_peak
 
 
 def random_poly(rng, max_degree):
@@ -185,13 +187,44 @@ def loop_project(rule, f, max_total_degree):
     return SpectralCoeffs(terms)
 
 
-@pytest.mark.parametrize("degree, max_total, order", [(0, 0, 1), (3, 3, 5), (6, 7, 8), (8, 8, 7)])
+# every rule here is one point block of project's, 1 to 900 points
+@pytest.mark.parametrize(
+    "degree, max_total, order", [(0, 0, 1), (3, 3, 5), (6, 7, 8), (8, 8, 7), (4, 4, 30)]
+)
 def test_project_matches_per_index_loop_bit_for_bit(degree, max_total, order):
     f = random_poly(np.random.default_rng(151 + degree), degree)
     rule = gauss_hermite_rule(order)
     got, want = project(rule, f, max_total), loop_project(rule, f, max_total)
     assert got._c.shape == want._c.shape
     assert got._c.tobytes() == want._c.tobytes()
+
+
+# 2, 7 and 15 point blocks of 1800, 69 to 70 and 106 to 107 points
+@pytest.mark.parametrize("degree, max_total, order", [(2, 2, 60), (6, 20, 22), (16, 16, 40)])
+def test_project_in_point_blocks_within_rounding_of_one_sum(degree, max_total, order):
+    # each coefficient is a complex inner product of N terms f w conj(J), so
+    # it is within gamma_{N+3} sum_p |f w| |J| of the exact sum whatever the
+    # order of its additions (Higham, 2nd ed., 2002, sections 3.1 and 3.6)
+    f = random_poly(np.random.default_rng(151 + degree), degree)
+    rule = gauss_hermite_rule(order)
+    pts, wts = rule.tensor_points()
+    fw = f.eval(pts) * wts
+    n = pts.size + 3
+    bound = 2.0 * n * 2.0**-53 / (1.0 - n * 2.0**-53) * (
+        np.abs(hermite.basis_values(max_total, pts)) @ np.abs(fw)
+    )
+    got, want = project(rule, f, max_total), loop_project(rule, f, max_total)
+    diffs = [abs(got.coeff(m, n) - want.coeff(m, n)) for m, n in hermite.basis_indices(max_total)]
+    assert np.all(np.array(diffs) <= bound)
+
+
+def test_project_holds_one_point_block():
+    # 561 basis rows on 34^2 points in 64-point blocks; the parent's one
+    # basis grid was 10.4 MB
+    rule, f = default_rule(32), PolyZZbar({(3, 1): 1.0})
+    project(rule, f, 32)  # warm
+    peak = traced_peak(lambda: project(rule, f, 32))
+    assert peak <= 2 * 16 * 561 * 64 + MB // 2
 
 
 def test_one_dimensional_gram_at_max_order():
