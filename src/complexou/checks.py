@@ -176,8 +176,8 @@ def _gram_tiles(
     the worst |J[n,m] - conj(J[m,n])| on the grid (0 for
     :func:`hermite.basis_values`).
 
-    A row with m < n is the conjugate of its partner's, so G[(m,n), (l,k)]
-    with k < l is sym[(m,n), (k,l)] and every entry of G is an entry of herm
+    A row with m < n is the conjugate of its partner's, so G[(m,n), (k,l)]
+    with k < l is sym[(m,n), (l,k)] and every entry of G is an entry of herm
     or sym up to conjugation: each is formed once.  The sum over the points
     runs in the point blocks of :func:`hermite._basis_blocks`, so the kernel
     holds both triangles and one block's grid.

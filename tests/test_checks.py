@@ -114,7 +114,7 @@ def tiled_gram(max_degree, rule):
     return tiles, herm, sym
 
 
-def on_axis(max_degree, tile):
+def radial_rows(max_degree, tile):
     """Which rows of a tile have m = n."""
     indices = hermite.basis_indices(max_degree)
     return np.array([indices[i][0] == indices[i][1] for i in tile])
@@ -127,8 +127,10 @@ def tiled_residual(max_degree, rule):
     worst = []
     for (a, b), block in herm.items():
         worst.append(np.max(np.abs(block - np.equal.outer(tiles[a], tiles[b]))))
-        gram = ~np.logical_and.outer(on_axis(max_degree, tiles[a]), on_axis(max_degree, tiles[b]))
-        worst.append(np.max(np.abs(sym[a, b][gram]), initial=0.0))
+        both = np.logical_and.outer(
+            radial_rows(max_degree, tiles[a]), radial_rows(max_degree, tiles[b])
+        )
+        worst.append(np.max(np.abs(sym[a, b][~both]), initial=0.0))
     return _worst(worst)
 
 
@@ -230,6 +232,17 @@ class TestGramResidual:
         assert all(broken_herm[ab].tobytes() == herm[ab].tobytes() for ab in herm)
         assert all(broken_sym[ab].tobytes() == sym[ab].tobytes() for ab in sym)
 
+    @pytest.mark.parametrize("max_degree", [1, 2, 7])
+    def test_mirror_reads_every_row_off_the_diagonal(self, max_degree):
+        # each row with m != n moved alone moves the mirror defect; a row
+        # with m = n has no partner and moves nothing
+        vals = hermite.basis_values(max_degree, checks.random_points(np.random.default_rng(5), 9))
+        assert checks._mirror_defect(max_degree, vals) == 0.0
+        for row, (m, n) in enumerate(hermite.basis_indices(max_degree)):
+            moved = vals.copy()
+            moved[row] *= 1.0 + 1e-6
+            assert (checks._mirror_defect(max_degree, moved) > 0.0) == (m != n)
+
     def test_a_scaled_row_with_m_at_least_n_fails(self, monkeypatch):
         # a row with m >= n is read by both triangles: scaled by 1 + 1e-6 its
         # diagonal entry of herm moves by 2e-6
@@ -261,7 +274,7 @@ class TestGramResidual:
                 tiles, herm, sym, mirror = gram_tiles(max_degree, rule)
                 for (a, b), block in sym.items():
                     both = np.logical_and.outer(
-                        on_axis(max_degree, tiles[a]), on_axis(max_degree, tiles[b])
+                        radial_rows(max_degree, tiles[a]), radial_rows(max_degree, tiles[b])
                     )
                     if masked:
                         assert a != b or np.max(np.abs(block[both])) > 0.9
@@ -278,11 +291,12 @@ class TestGramResidual:
 
     def test_orthonormality_holds_its_gram_rows_and_one_point_block(self):
         # 561 basis rows (289 with m >= n, in 3 tiles) on 34^2 points in
-        # 64-point blocks; both triangles are 6 of the 9 tile pairs of the
-        # parent's two products (2.6 MB) and their temporary
+        # 64-point blocks; both triangles are 6 of 9 tile pairs, 1.8 MB
+        # against 2.6 MB for those rows against every column
         checks.check_orthonormality(32, order=34)  # warm
         tiles = [hi - lo for lo, hi in _blocks(289, math.isqrt(_BLOCK))]
-        triangles = 2 * 16 * sum(a * b for a, b in itertools.combinations_with_replacement(tiles, 2))
+        pairs = itertools.combinations_with_replacement(tiles, 2)
+        triangles = 2 * 16 * sum(a * b for a, b in pairs)
         block = 16 * 561 * 64  # one block's grid; the tiles gathered from it are half of one
         peak = traced_peak(lambda: checks.check_orthonormality(32, order=34))
         assert peak <= triangles + 2 * block + MB // 2

@@ -209,18 +209,16 @@ def test_project_in_point_blocks_within_rounding_of_one_sum(degree, max_total, o
     rule = gauss_hermite_rule(order)
     pts, wts = rule.tensor_points()
     fw = f.eval(pts) * wts
-    n = pts.size + 3
-    bound = 2.0 * n * 2.0**-53 / (1.0 - n * 2.0**-53) * (
-        np.abs(hermite.basis_values(max_total, pts)) @ np.abs(fw)
-    )
+    gamma = (pts.size + 3) * 2.0**-53 / (1.0 - (pts.size + 3) * 2.0**-53)
+    bound = 2.0 * gamma * (np.abs(hermite.basis_values(max_total, pts)) @ np.abs(fw))
     got, want = project(rule, f, max_total), loop_project(rule, f, max_total)
     diffs = [abs(got.coeff(m, n) - want.coeff(m, n)) for m, n in hermite.basis_indices(max_total)]
     assert np.all(np.array(diffs) <= bound)
 
 
 def test_project_holds_one_point_block():
-    # 561 basis rows on 34^2 points in 64-point blocks; the parent's one
-    # basis grid was 10.4 MB
+    # 561 basis rows on 34^2 points in 64-point blocks; the whole basis grid
+    # is 10.4 MB
     rule, f = default_rule(32), PolyZZbar({(3, 1): 1.0})
     project(rule, f, 32)  # warm
     peak = traced_peak(lambda: project(rule, f, 32))
