@@ -46,32 +46,36 @@ def _json_text(obj) -> str:
         raise ValueError("the result is not finite; nothing written") from None
 
 
-def _envelope(cmd, inputs, results, *, max_residual=None, tol=None, seed=None, passed=None):
+def _envelope(cmd, inputs, results, *, report=None, seed=None, passed=True):
     env = {"command": " ".join(cmd.words), "inputs": inputs, "results": results}
-    if max_residual is not None:
-        env["max_residual"] = float(max_residual)
-        if passed is None:
-            passed = max_residual <= tol
-    env["pass"] = True if passed is None else bool(passed)
+    if report is not None:
+        env["max_residual"] = report.max_residual
+        passed = report.passed
+    env["pass"] = passed
     env["version"] = __version__
     if seed is not None:
         env["seed"] = int(seed)
     return env
 
 
+def _judge(args, name, residual, tol, details) -> checks.CheckReport:
+    """A residual command's report, judged at --tol if given, else at tol.  No
+    suite a command runs has an ``ok`` condition, so at tol its verdict stands."""
+    tol = tol if args.tol is None else args.tol
+    return checks.CheckReport.within(name, (residual,), tol, details)
+
+
 def _cmd_suite(cmd, args) -> dict:
-    """Envelope of a suite command's CheckReport: the command's own options as
-    inputs, in declaration order, then the tolerance (--tol overrides the
-    report's) and --seed if the command takes one."""
-    report = cmd.run(args)
-    tol = report.tol if args.tol is None else args.tol
+    """Envelope of a suite command's report: the command's own options as
+    inputs, in declaration order, then the tolerance and --seed if taken."""
+    run = cmd.run(args)
+    report = _judge(args, run.name, run.max_residual, run.tol, run.details)
     dests = [flag[2:].replace("-", "_") for flag, _ in cmd.options]
     return _envelope(
         cmd,
-        {**{dest: getattr(args, dest) for dest in dests}, "tol": tol},
+        {**{dest: getattr(args, dest) for dest in dests}, "tol": report.tol},
         {**report.details, "suite": report.name},
-        max_residual=report.max_residual,
-        tol=tol,
+        report=report,
         seed=getattr(args, "seed", None),
     )
 
@@ -101,13 +105,12 @@ def _cmd_hermite_show(cmd, args) -> dict:
 
 def _cmd_hermite_transform(cmd, args) -> dict:
     tr = hermite.build_basis_transform(args.degree)
-    tol = checks.TRANSFORM_TOL if args.tol is None else args.tol
+    report = _judge(args, "basis-transform", tr.residual(), checks.TRANSFORM_TOL, {})
     return _envelope(
         cmd,
-        {"degree": args.degree, "tol": tol},
+        {"degree": args.degree, "tol": report.tol},
         {"forward": _matrix_obj(tr.forward), "inverse": _matrix_obj(tr.inverse)},
-        max_residual=tr.residual(),
-        tol=tol,
+        report=report,
     )
 
 
@@ -129,13 +132,12 @@ def _cmd_operator_gamma(cmd, args) -> dict:
     direct = carre_du_champ(phi, psi)
     via_gen = carre_du_champ_via_generator(GeneratorParams(args.theta), phi, psi)
     residual = (direct - via_gen).max_abs_coeff()
-    tol = checks.GAMMA_TOL if args.tol is None else args.tol
+    report = _judge(args, "gamma-generator-route", residual, checks.GAMMA_TOL, {})
     return _envelope(
         cmd,
-        {"phi": args.phi, "psi": args.psi, "theta": args.theta, "tol": tol},
+        {"phi": args.phi, "psi": args.psi, "theta": args.theta, "tol": report.tol},
         {"gamma": direct.to_json_obj(), "generator_route_residual": residual},
-        max_residual=residual,
-        tol=tol,
+        report=report,
     )
 
 
@@ -250,17 +252,16 @@ def _cmd_sde_simulate(cmd, args) -> dict:
 
 def _cmd_sde_stationarity(cmd, args) -> dict:
     rep = sde.stationarity_check(GeneratorParams(args.theta), args.paths, args.t_burn, args.seed)
-    tol = sde.STATIONARITY_TOL if args.tol is None else args.tol
+    report = _judge(args, "sde-stationarity", rep.max_ratio, sde.STATIONARITY_TOL, {})
     return _envelope(
         cmd,
-        {"theta": args.theta, "paths": args.paths, "t_burn": rep.t_burn, "tol": tol},
+        {"theta": args.theta, "paths": args.paths, "t_burn": rep.t_burn, "tol": report.tol},
         {
             key: _complex_obj(value) if isinstance(value, complex) else value
             for key, value in dataclasses.asdict(rep).items()
             if key not in ("n_paths", "t_burn")
         },
-        max_residual=rep.max_ratio,
-        tol=tol,
+        report=report,
         seed=args.seed,
     )
 

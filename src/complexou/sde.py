@@ -102,11 +102,10 @@ class SimConfig:
         if self.scheme == "euler":
             if self.dt is None or not self.dt > 0.0:
                 raise ValueError("euler scheme requires dt > 0")
-            for gap in (b - a for a, b in zip(grid, grid[1:])):
-                steps = round(gap / self.dt)
-                if steps < 1 or abs(steps * self.dt - gap) > 1e-12:
+            for a, b, steps in zip(grid, grid[1:], self.steps_per_gap()):
+                if steps < 1 or abs(steps * self.dt - (b - a)) > 1e-12:
                     raise ValueError(
-                        f"dt={self.dt} does not divide the grid gap {gap} within 1e-12"
+                        f"dt={self.dt} does not divide the grid gap {b - a} within 1e-12"
                     )
 
     def steps_per_gap(self) -> list[int]:

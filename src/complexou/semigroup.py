@@ -90,26 +90,25 @@ def semigroup_mehler(p: PropagatorParams, phi, x, rule: QuadratureRule):
     """P_t phi at x by Gauss-Hermite quadrature of the Mehler average.
 
     phi is anything with .eval(points) or a vectorized callable; x may be a
-    complex scalar or an ndarray, evaluated pointwise.  Exact when phi is a
-    polynomial whose degree the rule covers.
+    complex scalar (a complex is returned) or an ndarray (an array of its
+    shape), evaluated pointwise.  Exact when phi is a polynomial whose
+    degree the rule covers.
 
-    An array x is swept in blocks of max(4, poly._BLOCK // K^2) of its
-    ravelled points (``poly._blocks``), so a sweep holds one block's (rows,
-    K^2) argument and value grids, at most ``poly._BLOCK`` values below
-    order 65, rather than all of x's.  Each block's ``@ wts`` is the
-    matrix-vector product of one sweep over all points on fewer rows, which
-    gives each row the same bits; no block has 1 row (a 1-row product runs
-    as a dot product, which rounds differently) unless x has 1 point.
+    x is swept in blocks of max(4, poly._BLOCK // K^2) of its ravelled
+    points (``poly._blocks``), a scalar as 1 point, so a sweep holds one
+    block's (rows, K^2) argument and value grids, at most ``poly._BLOCK``
+    values below order 65, rather than all of x's.  Each block's ``@ wts``
+    is the matrix-vector product of one sweep over all points on fewer rows,
+    which gives each row the same bits; no block has 1 row (a 1-row product
+    runs as a dot product, which rounds differently) unless x has 1 point.
     """
     pts, wts = rule.tensor_points()
     xv = np.asarray(x, dtype=complex)
-    if xv.ndim == 0:
-        return complex(_eval_at(phi, p.decay * xv[..., None] + p.noise_std * pts) @ wts)
     flat = xv.ravel()
     out = np.empty(flat.size, dtype=complex)
     for lo, hi in _blocks(flat.size, max(4, _BLOCK // pts.size)):
         out[lo:hi] = _eval_at(phi, p.decay * flat[lo:hi, None] + p.noise_std * pts) @ wts
-    return out.reshape(xv.shape)
+    return complex(out[0]) if xv.ndim == 0 else out.reshape(xv.shape)
 
 
 def normality_commutator(p: PropagatorParams, phi, x, rule: QuadratureRule):

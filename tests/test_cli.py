@@ -4,6 +4,7 @@ separation, file round trips, and CSV reproducibility, all in-process.
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import complexou
@@ -765,6 +767,66 @@ class TestSuiteOptions:
         assert parse_envelope(out) == expected
         # the same keys in the same order at every level
         assert out.strip() == json.dumps(expected, separators=(",", ":"))
+
+
+class TestOptionDefaults:
+    # each suite command's options with a default (and --seed), as the check_*
+    # keywords they reach: TestSuiteOptions sets only other values, so this
+    # is where a default that drifts from its suite's shows
+    KEYWORDS = {
+        ("hermite", "orthonormality"): (
+            checks.check_orthonormality, {"max_degree": "max_degree", "order": "order"}),
+        ("hermite", "roundtrip"): (checks.check_roundtrip, {"max_degree": "max_degree"}),
+        ("operator", "chain-rule"): (
+            checks.check_chain_rule,
+            {"degree": "max_degree_inner", "cases": "n_cases", "seed": "seed"}),
+        ("operator", "normality"): (
+            checks.check_operator_normality, {"degree": "max_degree", "seed": "seed"}),
+        ("semigroup", "verify-normal"): (
+            checks.check_semigroup_normality,
+            {"degree": "max_degree", "points": "n_points", "seed": "seed"}),
+        ("semigroup", "invariance"): (
+            checks.check_invariance, {"degree": "max_degree", "seed": "seed"}),
+        ("quad", "selftest"): (checks.check_quadrature, {"order": "order"}),
+        ("verify-all",): (checks.run_all, {"paths": "n_paths", "seed": "seed"}),
+    }
+
+    def test_every_suite_command_is_listed(self):
+        suites = {cmd.words for cmd in cli.COMMANDS if cmd.run is not None}
+        assert set(self.KEYWORDS) == suites | {("verify-all",)}
+
+    @pytest.mark.parametrize("words", list(KEYWORDS), ids=" ".join)
+    def test_defaults_are_the_keyword_defaults(self, words):
+        cmd = next(c for c in cli.COMMANDS if c.words == words)
+        check, keywords = self.KEYWORDS[words]
+        defaulted = {flag[2:].replace("-", "_") for flag, kw in cmd.options if "default" in kw}
+        assert set(keywords) == defaulted | ({"seed"} if cmd.seed else set())
+        required = [a for flag, kw in cmd.options if kw.get("required") for a in (flag, "0.5")]
+        args = cli.build_parser().parse_args([*words, *required])
+        params = inspect.signature(check).parameters
+        for dest, keyword in keywords.items():
+            assert getattr(args, dest) == params[keyword].default, dest
+
+
+class TestVerdictBoundary:
+    # --tol at a command's own residual passes it, the next float below fails it
+    CASES = [
+        ("hermite", "orthonormality", "--max-degree", "3", "--order", "6"),
+        ("hermite", "transform", "--degree", "3"),
+        ("operator", "gamma", "--phi", "(1+i)*z^2*zbar - z", "--theta", "0.4"),
+        ("sde", "stationarity", "--theta", "0.5", "--paths", "500", "--seed", "3"),
+    ]
+
+    @pytest.mark.parametrize("argv", CASES, ids=[" ".join(c[:2]) for c in CASES])
+    def test_tol_at_the_residual(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        residual = parse_envelope(out)["max_residual"]
+        assert code == 0 and residual > 0.0
+        for tol, want in ((residual, 0), (np.nextafter(residual, 0.0), 1)):
+            code, out, _ = run_cli(capsys, *argv, f"--tol={float(tol)!r}")
+            env = parse_envelope(out)
+            assert (code, env["pass"]) == (want, want == 0)
+            assert (env["max_residual"], env["inputs"]["tol"]) == (residual, tol)
 
 
 class TestDefaultTolerances:

@@ -264,9 +264,9 @@ MEHLER_CASES += [(order, s) for order in (70, 91) for s in MEHLER_SHAPES]
 
 
 class TestMehlerBlocks:
-    """semigroup_mehler sweeps an array x in blocks of its ravelled points,
-    each at most poly._BLOCK argument values or 4 rows, with the bits of one
-    sweep and no 1-row block."""
+    """semigroup_mehler sweeps x (a scalar as 1 point) in blocks of its
+    ravelled points, each at most poly._BLOCK argument values or 4 rows, with
+    the bits of one sweep and no 1-row block."""
 
     @pytest.mark.parametrize(
         "order, shape", MEHLER_CASES,
@@ -281,7 +281,7 @@ class TestMehlerBlocks:
         rows = []
 
         def eval_at(f, points):
-            rows.append(points.shape[0] if points.ndim == 2 else 0)
+            rows.append(points.shape[0])
             return quadrature._eval_at(f, points)
 
         monkeypatch.setattr(semigroup, "_eval_at", eval_at)
@@ -295,7 +295,7 @@ class TestMehlerBlocks:
         assert all(r <= most for r in rows)
         if np.size(x) > 1:
             assert min(rows) >= 2  # a 1-row block runs as a dot product
-        assert sum(rows) == 3 * (np.size(x) if np.ndim(x) else 0)
+        assert sum(rows) == 3 * np.size(x)  # a scalar is a 1-point sweep
 
     def test_adjoint_holds_one_block(self):
         # order-22 rule: blocks of 33 points x 484 nodes; one sweep over the

@@ -17,9 +17,11 @@ directory.  For each workload it holds:
 - the traced run's per-layer metrics;
 - each run's correctness, and its failed ops with their messages.
 
-It also holds ``tier1``, the passed and failed counts and the wall time of
-one Tier-1 run (``python -m pytest -q -p no:cacheprovider`` in the checkout,
-with its ``src`` on ``PYTHONPATH``), since the test suite's time is an
+It also holds ``tier1``, the passed, failed and error counts and the wall
+time of one Tier-1 run (``python -m pytest -q -p no:cacheprovider
+--continue-on-collection-errors`` in the checkout, with its ``src`` on
+``PYTHONPATH``; a module that fails to import or a fixture that raises counts
+as an error), since the test suite's time is an
 end-to-end measure too; the environment from the first report line (Python,
 numpy, scipy, the CPU, the thread cap and the git commit); and
 ``uncommitted``, the tracked files in which the measured checkout differs
@@ -73,19 +75,21 @@ def uncommitted(root: Path) -> list[str]:
 
 
 def tier1(root: Path) -> dict:
-    """Passed and failed counts and wall seconds of one Tier-1 run in ``root``."""
+    """Passed, failed and error counts and wall seconds of one Tier-1 run in ``root``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
         cwd=root, env=env, capture_output=True, text=True, timeout=1800,
     )
     wall = time.perf_counter() - start
     summary = proc.stdout.strip().rpartition("\n")[2]
-    counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed)", summary)}
+    # "error" also matches the plural "errors"
+    counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed|error)", summary)}
     return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
-            "wall_s": round(wall, 2)}
+            "errors": counts.get("error", 0), "wall_s": round(wall, 2)}
 
 
 def snapshot(root: Path, pr: int) -> dict:
