@@ -32,8 +32,8 @@ from .operator import (
     eigenvalue,
     generator_terms,
 )
-from .poly import _BLOCK, PolyZZbar, PolyWWbar, _blocks, _worst
-from .quadrature import QuadratureRule, default_rule, gauss_hermite_rule, integrate_gamma
+from .poly import PolyZZbar, PolyWWbar, _worst
+from .quadrature import _gram_residual, default_rule, gauss_hermite_rule, integrate_gamma
 from .semigroup import (
     PropagatorParams,
     adjoint_semigroup,
@@ -143,91 +143,6 @@ def random_points(rng: np.random.Generator, n: int) -> np.ndarray:
 # -- hermite / quadrature suites ----------------------------------------------
 
 
-# Rows and columns of the Gram tiles in _gram_tiles: equal tiles of at most
-# _GRAM_TILE of the basis rows with m >= n, so a tile product holds at most
-# poly._BLOCK entries.
-_GRAM_TILE = math.isqrt(_BLOCK)
-
-
-def _mirror_defect(max_degree: int, vals: np.ndarray) -> float:
-    """The worst |J[n,m] - conj(J[m,n])| over the rows with m < n of a basis
-    grid.  Degree l holds (m, l-m) at rows first + m, so its rows with m < n
-    and their partners (l-m, m) are two slices, the second read backwards."""
-    defects = []
-    for l in range(1, max_degree + 1):
-        first, count = l * (l + 1) // 2, (l + 1) // 2
-        rest, partner = vals[first : first + count], vals[first + l : first + l - count : -1]
-        defects.append(np.max(np.abs(rest - np.conjugate(partner)), initial=0.0))
-    return _worst(defects)
-
-
-def _gram_tiles(
-    max_degree: int, rule: QuadratureRule
-) -> tuple[list[list[int]], dict, dict, float]:
-    """The upper triangle of two matrices over the basis rows with m >= n,
-    under the tensor rule, tile by tile: (tiles, herm, sym, mirror).
-
-    With V those rows on the grid and W = V w, herm = conj(W) @ V^T, which is
-    conj(G) on those rows for the Gram matrix G = (J w) @ conj(J)^T of
-    {J[m,n] : m+n <= max_degree}, and sym = W @ V^T.  ``tiles`` lists each
-    tile's basis rows (in :func:`hermite.basis_indices` order), and herm and
-    sym map each tile pair (a, b) with a <= b to its block; the blocks below
-    the diagonal are their transposes, conjugated for herm.  ``mirror`` is
-    the worst |J[n,m] - conj(J[m,n])| on the grid (0 for
-    :func:`hermite.basis_values`).
-
-    A row with m < n is the conjugate of its partner's, so G[(m,n), (k,l)]
-    with k < l is sym[(m,n), (l,k)] and every entry of G is an entry of herm
-    or sym up to conjugation: each is formed once.  The sum over the points
-    runs in the point blocks of :func:`hermite._basis_blocks`, so the kernel
-    holds both triangles and one block's grid.
-    """
-    pts, wts = rule.tensor_points()
-    half = [i for i, (m, n) in enumerate(hermite.basis_indices(max_degree)) if m >= n]
-    tiles = [half[lo:hi] for lo, hi in _blocks(len(half), _GRAM_TILE)]
-    herm = {
-        (a, b): np.zeros((len(tiles[a]), len(tiles[b])), dtype=complex)
-        for a in range(len(tiles)) for b in range(a, len(tiles))
-    }
-    sym = {ab: np.zeros_like(block) for ab, block in herm.items()}
-    mirror = []
-    for lo, hi, vals in hermite._basis_blocks(max_degree, pts):
-        mirror.append(_mirror_defect(max_degree, vals))
-        rows = [vals[tile] for tile in tiles]
-        del vals
-        for a, right in enumerate(rows):
-            weighted = right * wts[lo:hi]
-            left = np.conjugate(weighted)
-            for b in range(a, len(rows)):
-                herm[a, b] += left @ rows[b].T
-                sym[a, b] += weighted @ rows[b].T
-    return tiles, herm, sym, _worst(mirror)
-
-
-def _gram_residual(max_degree: int, rule: QuadratureRule) -> tuple[float, int]:
-    """Worst entry of the Gram matrix of {J[m,n] : m+n <= max_degree} under
-    the tensor rule minus the identity, and the basis size.
-
-    Every entry of G is one of :func:`_gram_tiles`' up to conjugation: the
-    entries between rows with m >= n are herm's, whose diagonal is G's, and
-    the others are the entries of sym whose row or column has m > n,
-    provided the rows with m < n are their partners' conjugates, whose
-    defect is folded in too.  The entries of sym between two rows with
-    m = n are not Gram entries: the J[n,n] are real on the grid, so they
-    repeat herm's, with no identity subtracted, and are left out.
-    """
-    tiles, herm, sym, mirror = _gram_tiles(max_degree, rule)
-    indices = hermite.basis_indices(max_degree)
-    radial = [np.array([indices[i][0] == indices[i][1] for i in tile]) for tile in tiles]
-    worst = [mirror]
-    for (a, b), block in herm.items():
-        if a == b:
-            block[np.diag_indices_from(block)] -= 1.0
-        sym[a, b][np.ix_(radial[a], radial[b])] = 0.0
-        worst += (np.max(np.abs(block)), np.max(np.abs(sym[a, b])))
-    return _worst(worst), len(indices)
-
-
 def check_orthonormality(max_degree: int = 10, order: int = 12) -> CheckReport:
     """Gram matrix of {J[m,n] : m+n <= max_degree} vs the identity."""
     resid, size = _gram_residual(max_degree, gauss_hermite_rule(order))
@@ -276,12 +191,13 @@ def check_construction(max_total: int = 12) -> CheckReport:
 def check_quadrature(order: int = 12) -> CheckReport:
     """Exactness selftest of the Gauss-Hermite tensor rule against gamma.
 
-    Sum of weights, second and 18th moments (17!! for the latter), the mean of
-    an orthogonal basis element, and a small Gram block.
+    Sum of the 1-d weights, the integral of 1 (the sum of the tensor
+    weights), second and 18th moments (17!! for the latter), the mean of an
+    orthogonal basis element, and a small Gram block.
     """
     rule = gauss_hermite_rule(order)
     resids = {
-        "weight_sum": abs(float(np.sum(rule.tensor_points()[1])) - 1.0),
+        "weight_sum": abs(float(np.sum(rule.weights)) - 1.0),
         "mean_one": abs(integrate_gamma(rule, PolyZZbar.constant(1.0)) - 1.0),
         "second_moment": abs(integrate_gamma(rule, PolyZZbar({(1, 1): 1.0})) - 2.0),
         "mean_j11": abs(integrate_gamma(rule, hermite.complex_hermite(1, 1))),

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, checks, hermite, sde
-from .expr import ExprError, parse_poly
+from .expr import parse_poly
 from .operator import (
     GeneratorParams,
     carre_du_champ,
@@ -480,9 +480,8 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             env = args.handler(args)
         text = _json_text(env)
-    except (
-        ExprError, ValueError, OverflowError, MemoryError, OSError, json.JSONDecodeError
-    ) as exc:
+    # an ExprError and a json.JSONDecodeError are ValueErrors
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

@@ -215,6 +215,18 @@ def basis_values(max_total: int, pts: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:1] + shape)
 
 
+def _mirror_defect(max_degree: int, vals: np.ndarray) -> float:
+    """The worst |J[n,m] - conj(J[m,n])| over the rows with m < n of a
+    :func:`basis_values` grid.  Degree l holds (m, l-m) at rows first + m, so its
+    rows with m < n and their partners (l-m, m) are two slices, one read backwards."""
+    defects = []
+    for l in range(1, max_degree + 1):
+        first, count = l * (l + 1) // 2, (l + 1) // 2
+        rest, partner = vals[first : first + count], vals[first + l : first + l - count : -1]
+        defects.append(np.max(np.abs(rest - np.conjugate(partner)), initial=0.0))
+    return _worst(defects)
+
+
 def _basis_blocks(max_total: int, pts: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
     """(lo, hi, basis_values(max_total, pts[lo:hi])) over equal point blocks
     of the flat array pts, in order: the basis grid one block at a time, as

@@ -16,8 +16,10 @@ the module needs numpy only.  The rule of order K integrates polynomials of
 degree <= 2K-1 exactly; the default order for projections is
 max_total_degree + 2, exact with margin.
 
-Functions accept anything "evaluable on the complex plane": an object exposing
-``.eval(points)`` (such as PolyZZbar) or a plain vectorized callable.
+Every weighted sum over the tensor rule is taken here (integrals, inner
+products, projections and the basis Gram matrix).  Functions accept anything
+"evaluable on the complex plane": an object exposing ``.eval(points)`` (such
+as PolyZZbar) or a plain vectorized callable.
 """
 
 from __future__ import annotations
@@ -27,10 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import _basis_blocks, basis_indices
+from .hermite import _basis_blocks, _mirror_defect, basis_indices
+from .poly import _BLOCK, _blocks, _worst
 from .spectral import SpectralCoeffs
 
 MAX_ORDER = 128
+
+# Rows and columns of the Gram tiles in _gram_tiles: equal tiles of at most
+# _GRAM_TILE of the basis rows with m >= n, so a tile product holds at most
+# poly._BLOCK entries.
+_GRAM_TILE = math.isqrt(_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -126,3 +134,70 @@ def project(rule: QuadratureRule, f, max_total_degree: int) -> SpectralCoeffs:
         part = np.sum(terms, axis=1)
         total = part if total is None else total + part
     return SpectralCoeffs(dict(zip(basis_indices(max_total_degree), total.tolist())))
+
+
+def _gram_tiles(
+    max_degree: int, rule: QuadratureRule
+) -> tuple[list[list[int]], dict, dict, float]:
+    """The upper triangle of two matrices over the basis rows with m >= n,
+    under the tensor rule, tile by tile: (tiles, herm, sym, mirror).
+
+    With V those rows on the grid and W = V w, herm = conj(W) @ V^T, which is
+    conj(G) on those rows for the Gram matrix G = (J w) @ conj(J)^T of
+    {J[m,n] : m+n <= max_degree}, and sym = W @ V^T.  ``tiles`` lists each
+    tile's basis rows (in :func:`hermite.basis_indices` order), and herm and
+    sym map each tile pair (a, b) with a <= b to its block; the blocks below
+    the diagonal are their transposes, conjugated for herm.  ``mirror`` is
+    the worst |J[n,m] - conj(J[m,n])| on the grid (0 for
+    :func:`hermite.basis_values`).
+
+    A row with m < n is the conjugate of its partner's, so G[(m,n), (k,l)]
+    with k < l is sym[(m,n), (l,k)] and every entry of G is an entry of herm
+    or sym up to conjugation: each is formed once.  The sum over the points
+    runs in the point blocks of :func:`hermite._basis_blocks`, so the kernel
+    holds both triangles and one block's grid.
+    """
+    pts, wts = rule.tensor_points()
+    half = [i for i, (m, n) in enumerate(basis_indices(max_degree)) if m >= n]
+    tiles = [half[lo:hi] for lo, hi in _blocks(len(half), _GRAM_TILE)]
+    herm = {
+        (a, b): np.zeros((len(tiles[a]), len(tiles[b])), dtype=complex)
+        for a in range(len(tiles)) for b in range(a, len(tiles))
+    }
+    sym = {ab: np.zeros_like(block) for ab, block in herm.items()}
+    mirror = []
+    for lo, hi, vals in _basis_blocks(max_degree, pts):
+        mirror.append(_mirror_defect(max_degree, vals))
+        rows = [vals[tile] for tile in tiles]
+        del vals
+        for a, right in enumerate(rows):
+            weighted = right * wts[lo:hi]
+            left = np.conjugate(weighted)
+            for b in range(a, len(rows)):
+                herm[a, b] += left @ rows[b].T
+                sym[a, b] += weighted @ rows[b].T
+    return tiles, herm, sym, _worst(mirror)
+
+
+def _gram_residual(max_degree: int, rule: QuadratureRule) -> tuple[float, int]:
+    """Worst entry of the Gram matrix of {J[m,n] : m+n <= max_degree} under
+    the tensor rule minus the identity, and the basis size.
+
+    Every entry of G is one of :func:`_gram_tiles`' up to conjugation: the
+    entries between rows with m >= n are herm's, whose diagonal is G's, and
+    the others are the entries of sym whose row or column has m > n,
+    provided the rows with m < n are their partners' conjugates, whose
+    defect is folded in too.  The entries of sym between two rows with
+    m = n are not Gram entries: the J[n,n] are real on the grid, so they
+    repeat herm's, with no identity subtracted, and are left out.
+    """
+    tiles, herm, sym, mirror = _gram_tiles(max_degree, rule)
+    indices = basis_indices(max_degree)
+    radial = [np.array([indices[i][0] == indices[i][1] for i in tile]) for tile in tiles]
+    worst = [mirror]
+    for (a, b), block in herm.items():
+        if a == b:
+            block[np.diag_indices_from(block)] -= 1.0
+        sym[a, b][np.ix_(radial[a], radial[b])] = 0.0
+        worst += (np.max(np.abs(block)), np.max(np.abs(sym[a, b])))
+    return _worst(worst), len(indices)

@@ -63,8 +63,8 @@ _KS_SLICE = 8192
 
 def _check_seed(seed: int) -> int:
     """The seed as an int, the one value every generator is built from;
-    ValueError unless it is a 64-bit unsigned integer (a float is not)."""
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < _SEEDS):
+    ValueError unless it is a 64-bit unsigned integer (a float or a bool is not)."""
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed < _SEEDS):
         raise ValueError("seed must be a 64-bit unsigned integer")
     return int(seed)
 
@@ -342,7 +342,9 @@ class StationarityReport:
 
     @property
     def passed(self) -> bool:
-        """Every moment within BAND_SE SE and both KS statistics within the threshold."""
+        """Every moment within BAND_SE SE and both KS statistics within the
+        threshold, as check_stationarity judges the same run; its one caller
+        is the monte-carlo workload of perfbench/run.py."""
         return self.max_ratio <= STATIONARITY_TOL
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .hermite import basis_indices, basis_values
 from .operator import GeneratorParams, adjoint_params, eigenvalue
 from .poly import _BLOCK, PolyWWbar, _blocks
-from .quadrature import QuadratureRule, _eval_at, integrate_gamma
+from .quadrature import QuadratureRule, _eval_at, inner_product, integrate_gamma
 from .spectral import SpectralCoeffs
 
 
@@ -134,10 +134,7 @@ def semigroup_pairing(p: PropagatorParams, phi, psi, rule: QuadratureRule) -> co
     With the adjoint propagator on psi instead, the value must match:
     <P_t^theta phi, psi> = <phi, P_t^{-theta} psi>.
     """
-    pts, wts = rule.tensor_points()
-    left = semigroup_mehler(p, phi, pts, rule)
-    right = np.conjugate(_eval_at(psi, pts))
-    return complex((left * right) @ wts)
+    return inner_product(rule, lambda y: semigroup_mehler(p, phi, y, rule), psi)
 
 
 def invariance_residual(p: PropagatorParams, phi, rule: QuadratureRule) -> float:
@@ -146,10 +143,8 @@ def invariance_residual(p: PropagatorParams, phi, rule: QuadratureRule) -> float
     The left side is a genuine double quadrature (outer in x, Mehler inner),
     not a spectral shortcut, so this really exercises the invariance of gamma.
     """
-    pts, wts = rule.tensor_points()
-    lhs = complex(semigroup_mehler(p, phi, pts, rule) @ wts)
-    rhs = integrate_gamma(rule, phi)
-    return abs(lhs - rhs)
+    lhs = integrate_gamma(rule, lambda y: semigroup_mehler(p, phi, y, rule))
+    return abs(lhs - integrate_gamma(rule, phi))
 
 
 def ergodic_limit_residual(

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from complexou import checks, hermite, sde
+from complexou import checks, hermite, quadrature, sde
 from complexou.poly import _BLOCK, _blocks, _worst
 from complexou.quadrature import gauss_hermite_rule
 from memtrace import MB, traced_peak
@@ -175,7 +175,7 @@ class TestGramResidual:
     @pytest.mark.parametrize("max_degree, order", GRAM_CASES)
     def test_bit_for_bit_with_point_blocks(self, max_degree, order):
         rule = gauss_hermite_rule(order)
-        tiles, herm, sym, mirror = checks._gram_tiles(max_degree, rule)
+        tiles, herm, sym, mirror = quadrature._gram_tiles(max_degree, rule)
         want_tiles, want_herm, want_sym = tiled_gram(max_degree, rule)
         assert tiles == want_tiles
         assert list(herm) == list(want_herm) and list(sym) == list(want_sym)
@@ -183,7 +183,7 @@ class TestGramResidual:
             assert herm[ab].tobytes() == want_herm[ab].tobytes()
             assert sym[ab].tobytes() == want_sym[ab].tobytes()
         assert mirror == 0.0  # the rows with m < n are their partners' conjugates
-        resid, size = checks._gram_residual(max_degree, rule)
+        resid, size = quadrature._gram_residual(max_degree, rule)
         assert size == (max_degree + 1) * (max_degree + 2) // 2
         assert resid.hex() == tiled_residual(max_degree, rule).hex()
 
@@ -196,7 +196,7 @@ class TestGramResidual:
         pts, wts = rule.tensor_points()
         vals = hermite.basis_values(max_degree, pts)
         one = (vals * wts) @ np.conjugate(vals).T
-        got = full_gram(max_degree, *checks._gram_tiles(max_degree, rule)[:3])
+        got = full_gram(max_degree, *quadrature._gram_tiles(max_degree, rule)[:3])
         bound = 2.0 * gamma(pts.size + 3) * ((np.abs(vals) * wts) @ np.abs(vals).T)
         assert np.all(np.abs(got - one) <= bound)
 
@@ -213,7 +213,7 @@ class TestGramResidual:
         row, partner = indices.index((3, 6)), indices.index((6, 3))
         basis_values = hermite.basis_values
         rule = gauss_hermite_rule(12)
-        _, herm, sym, _ = checks._gram_tiles(10, rule)
+        _, herm, sym, _ = quadrature._gram_tiles(10, rule)
 
         def broken(max_total, pts):
             vals = basis_values(max_total, pts)
@@ -227,7 +227,7 @@ class TestGramResidual:
         monkeypatch.setattr(hermite, "basis_values", broken)
         report = checks.check_orthonormality(10, order=12)
         assert report.passed is False and report.max_residual > 1e-7
-        _, broken_herm, broken_sym, mirror = checks._gram_tiles(10, rule)
+        _, broken_herm, broken_sym, mirror = quadrature._gram_tiles(10, rule)
         assert report.max_residual == mirror
         assert all(broken_herm[ab].tobytes() == herm[ab].tobytes() for ab in herm)
         assert all(broken_sym[ab].tobytes() == sym[ab].tobytes() for ab in sym)
@@ -237,11 +237,11 @@ class TestGramResidual:
         # each row with m != n moved alone moves the mirror defect; a row
         # with m = n has no partner and moves nothing
         vals = hermite.basis_values(max_degree, checks.random_points(np.random.default_rng(5), 9))
-        assert checks._mirror_defect(max_degree, vals) == 0.0
+        assert hermite._mirror_defect(max_degree, vals) == 0.0
         for row, (m, n) in enumerate(hermite.basis_indices(max_degree)):
             moved = vals.copy()
             moved[row] *= 1.0 + 1e-6
-            assert (checks._mirror_defect(max_degree, moved) > 0.0) == (m != n)
+            assert (hermite._mirror_defect(max_degree, moved) > 0.0) == (m != n)
 
     def test_a_scaled_row_with_m_at_least_n_fails(self, monkeypatch):
         # a row with m >= n is read by both triangles: scaled by 1 + 1e-6 its
@@ -258,7 +258,7 @@ class TestGramResidual:
         monkeypatch.setattr(hermite, "basis_values", broken)
         report = checks.check_orthonormality(10, order=12)
         assert report.passed is False and report.max_residual > 1e-7
-        tiles, herm, _, _ = checks._gram_tiles(10, gauss_hermite_rule(12))
+        tiles, herm, _, _ = quadrature._gram_tiles(10, gauss_hermite_rule(12))
         at = tiles[0].index(row)  # 36 rows with m >= n: one tile
         assert abs(herm[0, 0][at, at] - 1.0) > 1.9e-6
 
@@ -266,8 +266,8 @@ class TestGramResidual:
         # they repeat herm's, since the J[n,n] are real on the grid, but with
         # no identity subtracted: about 1 on the diagonal
         rule = gauss_hermite_rule(25)
-        want, _ = checks._gram_residual(23, rule)
-        gram_tiles = checks._gram_tiles
+        want, _ = quadrature._gram_residual(23, rule)
+        gram_tiles = quadrature._gram_tiles
 
         def overwritten(masked):
             def tiles_with(max_degree, rule):
@@ -284,10 +284,10 @@ class TestGramResidual:
                 return tiles, herm, sym, mirror
             return tiles_with
 
-        monkeypatch.setattr(checks, "_gram_tiles", overwritten(True))
-        assert checks._gram_residual(23, rule)[0].hex() == want.hex()
-        monkeypatch.setattr(checks, "_gram_tiles", overwritten(False))
-        assert checks._gram_residual(23, rule)[0] == 0.5
+        monkeypatch.setattr(quadrature, "_gram_tiles", overwritten(True))
+        assert quadrature._gram_residual(23, rule)[0].hex() == want.hex()
+        monkeypatch.setattr(quadrature, "_gram_tiles", overwritten(False))
+        assert quadrature._gram_residual(23, rule)[0] == 0.5
 
     def test_orthonormality_holds_its_gram_rows_and_one_point_block(self):
         # 561 basis rows (289 with m >= n, in 3 tiles) on 34^2 points in
@@ -351,12 +351,16 @@ class TestExactRuns:
         runs = checks._exact_runs(self.THETAS, (1.0,), 0j, 3, seed)
         assert [c.seed for c in runs] == want
 
-    @pytest.mark.parametrize("seed", [-1, -3, 2**64, 2**64 + 1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, -3, 2**64, 2**64 + 1, 1.5, True, False])
     def test_seed_out_of_range_raises(self, seed):
         with pytest.raises(ValueError, match="64-bit"):
             checks._exact_runs(self.THETAS, (1.0,), 0j, 3, seed)
         with pytest.raises(ValueError, match="64-bit"):
             checks.check_sde_moments(n_paths=3, seed=seed)
+
+    def test_sde_moments_needs_three_paths(self):
+        with pytest.raises(ValueError, match="n_paths must be >= 3"):
+            checks.check_sde_moments(n_paths=2)
 
 
 SEEDED_SUITES = [
@@ -365,11 +369,12 @@ SEEDED_SUITES = [
 ]
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, False])
 @pytest.mark.parametrize("name", SEEDED_SUITES)
 def test_every_seeded_suite_rejects_a_seed_out_of_range(name, seed):
     # np.random.default_rng alone would take 2**64 and word -1 and 1.5 its own
-    # way; int(1.5) would silently run as seed 1
+    # way; int(1.5) would silently run as seed 1, and a bool counts as an
+    # integer, so True would run as seed 1
     assert len(SEEDED_SUITES) == 12
     with pytest.raises(ValueError, match="64-bit"):
         getattr(checks, name)(seed=seed)

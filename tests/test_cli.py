@@ -3,6 +3,7 @@ separation, file round trips, and CSV reproducibility, all in-process.
 """
 
 import argparse
+import contextlib
 import csv
 import inspect
 import io
@@ -191,6 +192,17 @@ class TestSemigroupCommands:
         )
         code, out, _ = run_cli(
             capsys, "semigroup", "apply", "--t", str(math.log(2.0)), "--input", str(f)
+        )
+        env = parse_envelope(out)
+        assert code == 0
+        (term,) = env["results"]["coeffs"]["coeffs"]
+        assert term["re"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_apply_reads_stdin(self, capsys, monkeypatch):
+        coeffs = json.dumps([{"m": 1, "n": 0, "re": 1.0, "im": 0.0}])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(coeffs))
+        code, out, _ = run_cli(
+            capsys, "semigroup", "apply", "--theta", "0", "--t", str(math.log(2.0)), "--input", "-"
         )
         env = parse_envelope(out)
         assert code == 0
@@ -913,9 +925,79 @@ class TestBranchParser:
         assert cli.build_parser() is not cli.build_parser()
 
 
+def run_profiled(argvs):
+    """main(argv) for each argv under sys.setprofile: the exit codes, the
+    text written to stdout and to stderr, and the names of the functions in
+    ``complexou.__all__`` whose code never ran.  A function behind
+    lru_cache may answer from its cache and open no frame, so its calls are
+    read from its cache statistics."""
+    functions = {}
+    for name in complexou.__all__:
+        obj = getattr(complexou, name)
+        if inspect.isfunction(getattr(obj, "__wrapped__", obj)):
+            functions[name] = obj
+    names = {getattr(fn, "__wrapped__", fn).__code__: name for name, fn in functions.items()}
+
+    def lookups(fn):
+        info = fn.cache_info()
+        return info.hits + info.misses
+
+    cached = {name: lookups(fn) for name, fn in functions.items() if hasattr(fn, "cache_info")}
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            ran.add(names[frame.f_code])
+
+    out, err = io.StringIO(), io.StringIO()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes = [main(argv) for argv in argvs]
+    finally:
+        sys.setprofile(None)
+    ran.update(name for name, count in cached.items() if lookups(functions[name]) > count)
+    return codes, out.getvalue(), err.getvalue(), set(functions) - ran
+
+
+@pytest.fixture(scope="module")
+def umbrella():
+    """One verify-all run at 2000 paths, profiled (:func:`run_profiled`)."""
+    return run_profiled([["verify-all", "--paths", "2000", "--pretty"]])
+
+
+# one valid call of every command but verify-all, and one more for each
+# choice of route or scheme; {input} is a coefficients file
+COMMAND_CALLS = [
+    ["hermite", "show", "--m", "2", "--n", "1"],
+    ["hermite", "show", "--m", "2", "--n", "1", "--route", "creation"],
+    ["hermite", "orthonormality", "--max-degree", "3", "--order", "5"],
+    ["hermite", "transform", "--degree", "3"],
+    ["hermite", "roundtrip", "--max-degree", "3"],
+    ["operator", "eigen", "--theta", "0.3", "--m", "2", "--n", "1"],
+    ["operator", "gamma", "--phi", "z*zbar - 2", "--psi", "z^2"],
+    ["operator", "chain-rule", "--theta", "0.3", "--degree", "2", "--cases", "2"],
+    ["operator", "normality", "--theta", "0.3", "--degree", "2"],
+    ["semigroup", "apply", "--theta", "0.3", "--t", "1", "--input", "{input}"],
+    ["semigroup", "verify-normal", "--theta", "0.3", "--t", "1", "--degree", "2", "--points", "2"],
+    ["semigroup", "invariance", "--theta", "0.3", "--t", "1", "--degree", "3"],
+    ["sde", "simulate", "--theta", "0.3", "--t", "1", "--paths", "10"],
+    ["sde", "simulate", "--theta", "0.3", "--t", "1", "--paths", "10", "--scheme", "euler",
+     "--dt", "0.5"],
+    ["sde", "stationarity", "--theta", "0.3", "--paths", "100"],
+    ["quad", "selftest", "--order", "10"],
+]
+
+# the exports that no suite and no command reaches (ROADMAP item 8)
+UNREACHED = [
+    "apply_generator_spectral", "domain_seminorm_sq", "euler_halving_probe",
+    "hermite_product_poly", "project", "real_hermite",
+]
+
+
 class TestVerifyAll:
-    def test_umbrella_aggregates_all_suites(self, capsys):
-        code, out, err = run_cli(capsys, "verify-all", "--paths", "2000", "--pretty")
+    def test_umbrella_aggregates_all_suites(self, umbrella):
+        (code,), out, err, _ = umbrella
         env = parse_envelope(out)
         assert code == 0
         assert env["pass"] is True
@@ -926,6 +1008,18 @@ class TestVerifyAll:
         assert "quadrature-selftest" in names
         assert "sde-vs-mehler" in names
         assert "PASS" in err
+
+    def test_exports_no_route_reaches(self, umbrella, tmp_path):
+        # a function that joins a suite or a command leaves UNREACHED; one
+        # that every route drops joins it
+        words = {tuple(argv[:2]) for argv in COMMAND_CALLS}
+        assert words == {cmd.words for cmd in cli.COMMANDS if cmd.words != ("verify-all",)}
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps([{"m": 1, "n": 0, "re": 1.0, "im": 0.0}]))
+        argvs = [[arg.format(input=coeffs) for arg in argv] for argv in COMMAND_CALLS]
+        codes, _, _, left_out = run_profiled(argvs)
+        assert codes == [0] * len(argvs)
+        assert sorted(umbrella[3] & left_out) == UNREACHED
 
 
 class TestNanResidual:

@@ -63,6 +63,12 @@ class TestErrors:
         with pytest.raises(ExprError, match="missing"):
             parse_poly("(z")
 
+    def test_missing_operand(self):
+        with pytest.raises(ExprError, match=r"unexpected end of expression in 'z\+'"):
+            parse_poly("z+")
+        with pytest.raises(ExprError, match=r"unexpected '\)' at position 2"):
+            parse_poly("z*)")
+
     def test_empty_expression(self):
         with pytest.raises(ExprError, match="empty"):
             parse_poly("   ")

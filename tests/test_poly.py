@@ -68,6 +68,8 @@ class TestCanonicalForm:
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
             PolyZZbar({(-1, 0): 1.0})
+        with pytest.raises(ValueError, match="nonnegative"):
+            PolyZZbar.monomial(-1, 0)
 
     def test_sum_keeps_signed_zeros_of_unmatched_terms(self):
         # -(0.5 + 0j) is -0.5 - 0j.  A term only the left operand has is kept
@@ -279,6 +281,10 @@ class TestOuterPolynomials:
     def test_slot_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PolyWWbar.slot(0, 1) + PolyWWbar.slot(0, 2)
+        with pytest.raises(ValueError, match="n_slots must be >= 1"):
+            PolyWWbar(0)
+        with pytest.raises(ValueError, match="wrong number of slot values"):
+            PolyWWbar.slot(0, 2).eval([1j])
 
     @pytest.mark.parametrize(
         "terms, bad",

@@ -67,6 +67,19 @@ class TestSimConfig:
         cfg = SimConfig(GeneratorParams(0.0), 1.0, (0.0, 1.0), 10, np.uint64(2**64 - 1))
         assert int(cfg.seed) == 2**64 - 1
 
+    def test_samplers_reject_the_other_scheme(self):
+        exact = SimConfig(GeneratorParams(0.0), 1.0, (0.0, 1.0), 10, SEED)
+        euler = dataclasses.replace(exact, scheme="euler", dt=0.5)
+        with pytest.raises(ValueError, match="'exact'"):
+            sample_exact(euler)
+        with pytest.raises(ValueError, match="'euler'"):
+            sample_euler(exact)
+
+    def test_ensemble_shape_must_match_config(self):
+        cfg = SimConfig(GeneratorParams(0.0), 1.0, (0.0, 1.0), 10, SEED)
+        with pytest.raises(ValueError, match="shape"):
+            sde.PathEnsemble(cfg, np.zeros((2, 10), dtype=complex))
+
     def test_steps_per_gap_exact_scheme_rejected(self):
         cfg = SimConfig(GeneratorParams(0.0), 1.0, (0.0, 1.0), 10, SEED)
         with pytest.raises(ValueError):
@@ -235,6 +248,19 @@ class TestStationarity:
         report = stationarity_check(GeneratorParams(0.5), 2000, t_burn, SEED + 21)
         assert report.t_burn == pytest.approx(t_burn)
 
+    @pytest.mark.parametrize("passing", [True, False])
+    def test_passed_is_the_suites_verdict(self, monkeypatch, passing):
+        # the report's own verdict, kept for one benchmark caller, agrees with
+        # check_stationarity's on the same run, on both sides of the tolerance
+        theta, n_paths = math.pi / 4, 2000
+        report = stationarity_check(GeneratorParams(theta), n_paths, None, SEED)
+        assert report.max_ratio <= sde.STATIONARITY_TOL
+        if not passing:
+            monkeypatch.setattr(sde, "STATIONARITY_TOL", report.max_ratio / 2)
+        suite = checks.check_stationarity(theta, n_paths, SEED)
+        assert suite.max_residual == report.max_ratio
+        assert report.passed is suite.passed is passing
+
     def test_max_ratio_keeps_a_nan_in_its_last_entry(self):
         # ks_imag is the last of the five ratios; Python's max drops a NaN there
         report = stationarity_check(GeneratorParams(0.3), 2000, 16.0, SEED + 20)
@@ -287,7 +313,7 @@ class TestEulerWeakConvergence:
         with pytest.raises(ValueError, match="n_paths must be >= 2 for standard errors, got 1"):
             euler_halving_probe(GeneratorParams(0.3), 1.0, 1.0, 0.25, 1, SEED)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, False])
     def test_seed_out_of_range_raises(self, seed):
         # the probe builds its own Philox generator, with no SimConfig to check
         with pytest.raises(ValueError, match="64-bit"):
