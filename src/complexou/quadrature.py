@@ -16,10 +16,10 @@ the module needs numpy only.  The rule of order K integrates polynomials of
 degree <= 2K-1 exactly; the default order for projections is
 max_total_degree + 2, exact with margin.
 
-Every weighted sum over the tensor rule is taken here (integrals, inner
-products, projections and the basis Gram matrix).  Functions accept anything
-"evaluable on the complex plane": an object exposing ``.eval(points)`` (such
-as PolyZZbar) or a plain vectorized callable.
+Weighted sums over the tensor rule (integrals, inner products, projections,
+the basis Gram matrix) are taken here, except semigroup's Mehler sweep and its
+two-slot rotation grid.  Functions accept anything evaluable on the plane: an
+object with ``.eval(points)`` (such as PolyZZbar) or a vectorized callable.
 """
 
 from __future__ import annotations
