@@ -32,7 +32,6 @@ from .hermite import (
     hermite_product_poly,
     monomial_to_hermite,
     project_monomials,
-    real_hermite,
     synthesize,
 )
 from .poly import PolyWWbar, PolyZZbar, compose
@@ -116,7 +115,6 @@ __all__ = [
     "parse_poly",
     "project",
     "project_monomials",
-    "real_hermite",
     "sample_euler",
     "sample_exact",
     "semigroup_mehler",

@@ -46,7 +46,7 @@ from .semigroup import (
     semigroup_pairing,
     semigroup_spectral,
 )
-from .spectral import SpectralCoeffs
+from .spectral import MAX_TOTAL_DEGREE, SpectralCoeffs
 
 # Angle grids.  THETA_SIX is the six-angle sweep used for the eigenrelation;
 # THETA_WIDE adds the near-degenerate +-0.49*pi angles exercised by the
@@ -82,7 +82,11 @@ class CheckReport:
     ) -> "CheckReport":
         """The report of a suite whose max_residual is ``poly._worst(residuals)``
         (NaN if any is NaN, which fails) and that passes when it is <= tol and
-        ``ok`` holds.  A generator is drained here: its draws come last."""
+        ``ok`` holds.  A generator is drained here: its draws come last.  A
+        suite with no residual checked nothing, which raises ValueError."""
+        residuals = list(residuals)
+        if not residuals:
+            raise ValueError(f"suite {name} has no residual: it checked nothing")
         worst = _worst(residuals)
         return cls(name, worst <= tol and ok, worst, tol, details)
 
@@ -218,6 +222,7 @@ def check_quadrature(order: int = 12) -> CheckReport:
 def check_roundtrip(max_degree: int = 10) -> CheckReport:
     """synthesize(project_monomials(phi)) recovers phi coefficientwise (the
     exact monomial expansion, no quadrature)."""
+    hermite._check_degrees(0, max_degree, MAX_TOTAL_DEGREE)  # before any projection
     resids = []
     for a, b in hermite.basis_indices(max_degree):
         p = PolyZZbar({(a, b): 1.0 + 0.5j})
@@ -491,7 +496,7 @@ def _moment_deviations(z: np.ndarray, p: PropagatorParams, x0: complex) -> tuple
     law of p started at x0, each in standard errors."""
     n = z.size
     mean, var = p.transition_moments(x0)
-    mean_se = math.sqrt(2.0 * (1.0 - abs(p.decay) ** 2) / n)
+    mean_se = math.sqrt(var / n)
     mean_dev = abs(complex(z.mean()) - mean) / mean_se
 
     dev_sq = sde._abs_dev_sq(z, z.mean())
@@ -509,8 +514,8 @@ def check_sde_moments(
 ) -> CheckReport:
     """Exact-sampler mean and variance vs the transition law, within 4 SE.
 
-    Mean target e^{-e^{i theta} t} x0 with SE sqrt(2(1-e^{-2t cos theta})/n);
-    variance target 2(1-e^{-2t cos theta}) with its empirical SE.  Each
+    Mean target e^{-e^{i theta} t} x0 with SE sqrt(var/n), where the variance
+    target var = 2(1-e^{-2t cos theta}) is judged by its empirical SE.  Each
     angle's paths are streamed (``sde._rows``), so the suite holds one
     recorded time, not one ensemble: each row's moments are taken as it is
     stepped.  Also replays the first configuration to confirm bit-identical

@@ -5,7 +5,9 @@ Normalization conventions (probabilist, unit-variance Gaussian):
 - real Hermite polynomials H_n are orthonormal against the 1-d weight
   exp(-x^2/2)/sqrt(2*pi); the leading coefficient of H_n is 1/sqrt(n!),
   and they satisfy the three-term recurrence
-  H_{n+1}(x) = (x*H_n(x) - sqrt(n)*H_{n-1}(x)) / sqrt(n+1);
+  H_{n+1}(x) = (x*H_n(x) - sqrt(n)*H_{n-1}(x)) / sqrt(n+1),
+  which :func:`_hermite_rows` steps on values for the Gauss-Hermite rule
+  and on (z, zbar)-polynomials for :func:`hermite_product_poly`;
 - complex Hermite polynomials J[m,n] are orthonormal in L2(gamma), where
   gamma is the standard planar Gaussian (each real coordinate variance 1,
   so E|z|^2 = 2).
@@ -88,41 +90,32 @@ class BasisTransform:
         return _worst(float(np.max(np.abs(a @ b - eye))) for a, b in pairs)
 
 
-def real_hermite(n: int) -> np.ndarray:
-    """Ascending power coefficients of the orthonormal real Hermite polynomial
-    H_n, by the three-term recurrence; entry n is 1/sqrt(n!).  Evaluate it with
-    ``np.polynomial.polynomial.polyval(x, real_hermite(n))``."""
-    if not 0 <= n <= MAX_TOTAL_DEGREE:
-        raise ValueError(f"n must be in [0, {MAX_TOTAL_DEGREE}], got {n}")
-    prev = np.array([1.0])  # H_0
-    if n == 0:
-        return prev
-    cur = np.array([0.0, 1.0])  # H_1 = x
-    for k in range(1, n):
-        nxt = np.zeros(k + 2)
-        nxt[1:] = cur
-        nxt[: k] -= math.sqrt(k) * prev
-        nxt /= math.sqrt(k + 1)
-        prev, cur = cur, nxt
-    return cur
+def _hermite_rows(x, count: int) -> list:
+    """H_0(x), ..., H_{count-1}(x), count >= 1, by the three-term recurrence
+    H_{k+1} = (x H_k - sqrt(k) H_{k-1}) / sqrt(k+1): the one place it is stepped.
+
+    x is a float array, which gives values (as :func:`quadrature.gauss_hermite_rule`
+    reads them), or a PolyZZbar, which gives polynomials in (z, zbar) (as
+    :func:`hermite_product_poly` reads them); only x**0, *, - and / are used.
+    """
+    rows = [x**0, x][:count]
+    for k in range(1, count - 1):
+        rows.append((x * rows[k] - math.sqrt(k) * rows[k - 1]) / math.sqrt(k + 1))
+    return rows
 
 
 def hermite_product_poly(kx: int, ky: int) -> PolyZZbar:
-    """H_kx(x) * H_ky(y) as a (z, zbar)-polynomial.
+    """H_kx(x) * H_ky(y) as a (z, zbar)-polynomial, for kx, ky in
+    [0, MAX_TOTAL_DEGREE].
 
-    Substitutes x = (z + zbar)/2 and y = -i(z - zbar)/2 and multiplies out;
+    Steps :func:`_hermite_rows` on x = (z + zbar)/2 and y = -i(z - zbar)/2;
     used to cross-check the basis transform against exact polynomial algebra.
     """
+    _check_degrees(kx, 0, MAX_TOTAL_DEGREE)
+    _check_degrees(0, ky, MAX_TOTAL_DEGREE)
     x = (_Z + _ZBAR) * 0.5
     y = (_Z - _ZBAR) * (-0.5j)
-
-    def horner(coeffs: np.ndarray, arg: PolyZZbar) -> PolyZZbar:
-        acc = PolyZZbar.zero()
-        for c in coeffs[::-1]:
-            acc = acc * arg + complex(c)
-        return acc
-
-    return horner(real_hermite(kx), x) * horner(real_hermite(ky), y)
+    return _hermite_rows(x, kx + 1)[kx] * _hermite_rows(y, ky + 1)[ky]
 
 
 def creation_z(p: PolyZZbar) -> PolyZZbar:
@@ -190,8 +183,7 @@ def basis_values(max_total: int, pts: np.ndarray) -> np.ndarray:
     rows a = 0 .. max_total - 2k, with per-row scalar columns, so each row
     sees the operations of its own one-frequency recurrence.
     """
-    if not 0 <= max_total <= MAX_TOTAL_DEGREE:
-        raise ValueError(f"max_total must be in [0, {MAX_TOTAL_DEGREE}], got {max_total}")
+    _check_degrees(0, max_total, MAX_TOTAL_DEGREE)
     shape = np.shape(pts)
     z = np.asarray(pts, dtype=complex).ravel()
     x = 0.5 * (z.real**2 + z.imag**2)

@@ -8,10 +8,11 @@ of z = x + i*y has variance 1 and E|z|^2 = 2.
 The nodes are the eigenvalues of the symmetric Jacobi matrix of the
 orthonormal Hermite recurrence (numpy's dense ``eigvalsh``), symmetrized about
 0 and refined by one Newton step on H_K.  The weights are the Christoffel
-numbers w_i = 1 / sum_{k<K} H_k(x_i)^2, evaluated by the same recurrence
-(Townsend, Trogdon & Olver, IMA J. Numer. Anal. 36, 2016); unlike squared
-eigenvector components they keep their relative accuracy in the tails, so
-the rule stays accurate up to MAX_ORDER.  No eigenvectors are computed, and
+numbers w_i = 1 / sum_{k<K} H_k(x_i)^2 (Townsend, Trogdon & Olver, IMA J.
+Numer. Anal. 36, 2016); unlike squared eigenvector components they keep
+their relative accuracy in the tails, so the rule stays accurate up to
+MAX_ORDER.  The Newton step and the weights read the recurrence's values
+from :func:`hermite._hermite_rows`.  No eigenvectors are computed, and
 the module needs numpy only.  The rule of order K integrates polynomials of
 degree <= 2K-1 exactly; the default order for projections is
 max_total_degree + 2, exact with margin.
@@ -29,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import _basis_blocks, _mirror_defect, basis_indices
+from .hermite import _basis_blocks, _check_degrees, _hermite_rows, _mirror_defect, basis_indices
 from .poly import _BLOCK, _blocks, _worst
-from .spectral import SpectralCoeffs
+from .spectral import MAX_TOTAL_DEGREE, SpectralCoeffs
 
 MAX_ORDER = 128
 
@@ -59,18 +60,6 @@ class QuadratureRule:
         return pts, wts
 
 
-def _hermite_rows(x: np.ndarray, count: int) -> np.ndarray:
-    """Rows H_0(x), ..., H_{count-1}(x) of the orthonormal Hermite polynomials,
-    by the three-term recurrence H_{k+1} = (x H_k - sqrt(k) H_{k-1}) / sqrt(k+1)."""
-    h = np.empty((count, x.size))
-    h[0] = 1.0
-    if count > 1:
-        h[1] = x
-    for k in range(1, count - 1):
-        h[k + 1] = (x * h[k] - math.sqrt(k) * h[k - 1]) / math.sqrt(k + 1)
-    return h
-
-
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Gauss rule of the given order for the unit-variance Gaussian.
 
@@ -88,7 +77,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     nodes = 0.5 * (nodes - nodes[::-1])
     h = _hermite_rows(nodes, order + 1)
     nodes = nodes - h[order] / (math.sqrt(order) * h[order - 1])
-    weights = 1.0 / np.sum(_hermite_rows(nodes, order) ** 2, axis=0)
+    weights = 1.0 / np.sum(np.square(_hermite_rows(nodes, order)), axis=0)
     weights = 0.5 * (weights + weights[::-1])
     return QuadratureRule(nodes, weights)
 
@@ -157,6 +146,7 @@ def _gram_tiles(
     runs in the point blocks of :func:`hermite._basis_blocks`, so the kernel
     holds both triangles and one block's grid.
     """
+    _check_degrees(0, max_degree, MAX_TOTAL_DEGREE)  # before the tiles are allocated
     pts, wts = rule.tensor_points()
     half = [i for i, (m, n) in enumerate(basis_indices(max_degree)) if m >= n]
     tiles = [half[lo:hi] for lo, hi in _blocks(len(half), _GRAM_TILE)]

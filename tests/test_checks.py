@@ -92,6 +92,43 @@ def test_report_of_a_nan_residual_fails():
     assert report.passed is False and math.isnan(report.max_residual)
 
 
+def test_report_of_no_residual_raises_with_the_suite_name():
+    with pytest.raises(ValueError, match="gamma-invariance"):
+        checks.CheckReport.within("gamma-invariance", iter(()), 1.0, {})
+
+
+# each suite with inputs that leave it no residual; the roundtrip's empty
+# basis already fails the basis limit check
+NOTHING_TO_CHECK = [
+    (checks.check_eigenrelation, {"max_degree": -1}),
+    (checks.check_transform, {"max_degree": -1}),
+    (checks.check_roundtrip, {"max_degree": -1}),
+    (checks.check_adjoint, {"n_pairs": 0}),
+    (checks.check_chain_rule, {"n_cases": 0}),
+    (checks.check_sde_moments, {"ts": (), "n_paths": 3}),
+    (checks.check_invariance, {"thetas": ()}),
+]
+
+
+@pytest.mark.parametrize("suite, kwargs", NOTHING_TO_CHECK,
+                         ids=[suite.__name__ for suite, _ in NOTHING_TO_CHECK])
+def test_a_suite_that_checks_nothing_raises(suite, kwargs):
+    with pytest.raises(ValueError):
+        suite(**kwargs)
+
+
+@pytest.mark.parametrize("suite", [checks.check_orthonormality, checks.check_roundtrip])
+@pytest.mark.parametrize("max_degree", [hermite.MAX_TOTAL_DEGREE + 1, 140])
+def test_basis_limit_is_checked_before_any_allocation(suite, max_degree):
+    # one message, from hermite._check_degrees, before the Gram tiles (over
+    # 100 MB at degree 140) or any projection exist
+    def call():
+        with pytest.raises(ValueError, match=rf"m \+ n <= 64, got \(0, {max_degree}\)"):
+            suite(max_degree=max_degree)
+
+    assert traced_peak(call) < MB
+
+
 def tiled_gram(max_degree, rule):
     """herm = conj(V w) @ V^T and sym = (V w) @ V^T on the basis rows V with
     m >= n, summed over equal point blocks of at most max(64, poly._BLOCK //

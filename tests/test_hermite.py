@@ -26,7 +26,6 @@ from complexou import (
     hermite_product_poly,
     monomial_to_hermite,
     project_monomials,
-    real_hermite,
     synthesize,
 )
 from complexou import checks, hermite
@@ -41,36 +40,44 @@ def basis_indices(max_total):
 
 
 class TestRealHermite:
+    """The one three-term recurrence, hermite._hermite_rows, on values."""
+
+    X = np.linspace(-4.0, 4.0, 17)
+
     def test_small_degrees(self):
-        assert real_hermite(0) == pytest.approx([1.0])
-        assert real_hermite(1) == pytest.approx([0.0, 1.0])
-        # (x^2 - 1)/sqrt(2)
-        assert real_hermite(2) == pytest.approx([-1 / SQRT2, 0.0, 1 / SQRT2])
+        h0, h1, h2 = hermite._hermite_rows(self.X, 3)
+        np.testing.assert_allclose(h0, 1.0, rtol=0, atol=0)
+        np.testing.assert_allclose(h1, self.X, rtol=0, atol=0)
+        np.testing.assert_allclose(h2, (self.X**2 - 1) / SQRT2, rtol=1e-15, atol=1e-15)
 
     def test_leading_coefficient(self):
-        for n in range(13):
-            lead = real_hermite(n)[-1]
+        # H_n(x) = x^n / sqrt(n!) (1 + O(n^2 / x^2)), so at x = 1e8 the ratio
+        # H_n(x) / x^n is the leading coefficient to rounding
+        x = np.array([1e8])
+        for n, row in enumerate(hermite._hermite_rows(x, 13)):
+            lead = row[0] / x[0] ** n
             assert lead == pytest.approx(1.0 / math.sqrt(math.factorial(n)), rel=1e-13)
 
     def test_against_reference_basis(self):
         # numpy's probabilist Hermite basis He_n; ours is He_n / sqrt(n!)
-        for n in range(11):
-            ref = np.polynomial.hermite_e.herme2poly([0.0] * n + [1.0])
-            ref = ref / math.sqrt(math.factorial(n))
-            np.testing.assert_allclose(real_hermite(n), ref, atol=1e-12)
+        for n, row in enumerate(hermite._hermite_rows(self.X, 11)):
+            ref = np.polynomial.hermite_e.hermeval(self.X, [0.0] * n + [1.0])
+            np.testing.assert_allclose(row, ref / math.sqrt(math.factorial(n)),
+                                       rtol=1e-13, atol=1e-13)
 
     def test_orthonormal_under_gaussian_weight(self):
         rule = gauss_hermite_rule(12)
-        polyval = np.polynomial.polynomial.polyval
-        vals = np.array([polyval(rule.nodes, real_hermite(n)) for n in range(9)])
+        vals = np.array(hermite._hermite_rows(rule.nodes, 9))
         gram = (vals * rule.weights) @ vals.T
         np.testing.assert_allclose(gram, np.eye(9), atol=1e-12)
 
     def test_degree_out_of_range(self):
-        with pytest.raises(ValueError):
-            real_hermite(-1)
-        with pytest.raises(ValueError):
-            real_hermite(65)
+        # the product route takes each index up to the limit on its own
+        top = MAX_TOTAL_DEGREE
+        for kx, ky in ((-1, 0), (0, -1), (top + 1, 0), (0, top + 1)):
+            with pytest.raises(ValueError):
+                hermite_product_poly(kx, ky)
+        assert hermite_product_poly(top, top).terms
 
 
 class TestComplexHermiteClosedForm:
@@ -180,7 +187,7 @@ class TestBasisTransform:
     def test_reproduces_basis_polynomials(self):
         # forward rows applied to H_k(x)H_{l-k}(y), expanded in (z, zbar),
         # must rebuild J[m, l-m]; inverse rows go the other way.
-        for level in range(9):
+        for level in range(17):
             products = [hermite_product_poly(k, level - k) for k in range(level + 1)]
             tr = build_basis_transform(level)
             for m in range(level + 1):
