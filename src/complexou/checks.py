@@ -505,6 +505,14 @@ def _moment_deviations(z: np.ndarray, p: PropagatorParams, x0: complex) -> tuple
     return mean_dev, abs(var_hat - var) / var_se
 
 
+def _check_moment_paths(n_paths: int) -> None:
+    """ValueError unless n_paths >= 3, which :func:`check_sde_moments` needs:
+    the two deviations |z - mean|^2 of 2 samples are equal, so their standard
+    error is 0."""
+    if n_paths < 3:
+        raise ValueError(f"n_paths must be >= 3 for the variance's standard error, got {n_paths}")
+
+
 def check_sde_moments(
     n_paths: int = 200000,
     ts: tuple[float, ...] = (0.5, 2.0),
@@ -521,12 +529,10 @@ def check_sde_moments(
     stepped.  Also replays the first configuration to confirm bit-identical
     states: the SHA-256 digest of every byte of its rows, in time order, is
     compared with that of the replay's rows.
-    max_residual is the worst deviation in SE units; tol = 4.  Needs 3 paths:
-    the two deviations |z - mean|^2 of 2 samples are equal, so their
-    standard error is 0.
+    max_residual is the worst deviation in SE units; tol = 4.  Needs 3 paths
+    (:func:`_check_moment_paths`).
     """
-    if n_paths < 3:
-        raise ValueError(f"n_paths must be >= 3 for the variance's standard error, got {n_paths}")
+    _check_moment_paths(n_paths)
     # imported here, not with the module: hashlib loads OpenSSL, about 8 ms of
     # CPU that every command would pay at import and only this suite uses
     import hashlib
@@ -608,8 +614,7 @@ def run_all(seed: int = DEFAULT_SEED, n_paths: int = 200000) -> list[CheckReport
     """Run every suite with its documented defaults (the umbrella command);
     n_paths must be at least 3, as :func:`check_sde_moments` needs, and seed
     a 64-bit unsigned integer, both checked before any suite runs."""
-    if n_paths < 3:
-        raise ValueError(f"n_paths must be >= 3 for the variance's standard error, got {n_paths}")
+    _check_moment_paths(n_paths)
     sde._check_seed(seed)
     return [
         check_quadrature(),

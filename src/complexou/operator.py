@@ -152,9 +152,11 @@ def carre_du_champ_via_generator(
 
 
 def chain_rule_sides(
-    params: GeneratorParams, outer: PolyWWbar, phis: Sequence[PolyZZbar] | PolyZZbar
+    params: GeneratorParams, outer: PolyWWbar, phis: Sequence[PolyZZbar]
 ) -> tuple[PolyZZbar, PolyZZbar]:
-    """Both sides of the second-order chain rule for L applied to F(phi_vec).
+    """Both sides of the second-order chain rule for L applied to F(phi_vec),
+    where F is ``outer`` and phi_vec is ``phis``, one inner polynomial per
+    slot of F.
 
     Left: the generator applied to the composed polynomial.  Right: the
     diffusion expansion
@@ -164,8 +166,6 @@ def chain_rule_sides(
                               + 2 Gamma(phi_i, phi_j) F_{z_i zbar_j}(phi_vec) ]
         + sum_i [ L(phi_i) F_{z_i}(phi_vec) + L(conj(phi_i)) F_{zbar_i}(phi_vec) ].
     """
-    if isinstance(phis, PolyZZbar):
-        phis = [phis]
     phis = list(phis)
     if len(phis) != outer.n_slots:
         raise ValueError("one inner polynomial required per slot of the outer function")

@@ -34,17 +34,20 @@ Conventions baked into the representation:
 
 Both :class:`PolyZZbar` and :class:`~.spectral.SpectralCoeffs` (basis
 expansions) are :class:`_Coeffs`: the base owns the array, its construction
-from a term map, the cached ``terms``, exact equality and the JSON entries,
-read back with every index, duplicate, degree and number checked.  The
+from a term map whose keys must be pairs of nonnegative integers
+(:func:`_int_key`, as for :class:`PolyWWbar`), the cached ``terms``, exact
+equality and the JSON entries, read back with every index, duplicate, degree
+and number checked.  The
 module-level array helpers (``_sum``, ``_times``, ``_wrap``) serve both;
 ``_lincomb`` sums a linear combination of such arrays in one array, for
 compositions and basis sums.
 
 Ops act on the nonzero entries only (one masked ufunc call), so the zeros
 stay +0.  Every coefficient array has one negation, ``_on_nonzero(np.negative,
-c)``, and one difference, ``_sum(x, y, np.subtract)``, which ``s - p`` for a
-scalar s reaches as ``PolyZZbar.constant(s) - p``: IEEE ``x - y`` is exactly
-``x + (-y)``, so a difference has the bits of adding the negation.
+c)``, and one difference, ``_sum(x, y, np.subtract)``: IEEE ``x - y`` is
+exactly ``x + (-y)``, so a difference has the bits of adding the negation.
+Sums and differences are of two polynomials; a scalar is a polynomial through
+``PolyZZbar.constant``.
 :func:`_trim` tests corner entries before it counts or scans.
 
 :class:`PolyWWbar` generalizes to n complex slots (w_1, wbar_1, ..., w_n,
@@ -62,7 +65,7 @@ safe to share across threads; every operation returns a new object.
 from __future__ import annotations
 
 import itertools
-import json
+import operator
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -221,6 +224,23 @@ def _worst(values) -> float:
 MAX_TOTAL_DEGREE = 64
 
 
+def _int_key(key) -> tuple[int, ...] | None:
+    """key as a tuple of Python ints, or None unless each entry is a
+    nonnegative integer: a Python or numpy int (``operator.index``), not a
+    bool.  The common key, nonnegative Python ints, costs one type test per
+    entry."""
+    for e in key:
+        if type(e) is not int or e < 0:
+            break
+    else:
+        return tuple(key)
+    try:
+        out = tuple(map(operator.index, key))
+    except TypeError:
+        return None
+    return None if bool in map(type, key) or min(out) < 0 else out
+
+
 def _number(v, name: str) -> float:
     """v as a float; ValueError unless v is a number (not a bool) in float range."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -248,12 +268,13 @@ class _Coeffs:
 
     def __init__(self, terms: Mapping[tuple[int, int], complex] | None = None):
         entries = []
-        for (i, j), v in (terms or {}).items():
-            if i < 0 or j < 0:
-                raise ValueError(f"{self._WHAT} must be nonnegative, got {(i, j)}")
+        for key, v in (terms or {}).items():
+            index = _int_key(key)
+            if index is None or len(index) != 2:
+                raise ValueError(f"{self._WHAT} must be nonnegative integers, got {key}")
             v = complex(v)
             if v != 0:
-                entries.append((int(i), int(j), v))
+                entries.append((*index, v))
         c = _EMPTY
         if entries:
             rows, cols, _ = zip(*entries)
@@ -322,14 +343,6 @@ class _Coeffs:
             terms[(a, b)] = complex(_number(t["re"], "re"), _number(t["im"], "im"))
         return cls(terms)
 
-    def to_json(self, *args, **kwargs) -> str:
-        """``to_json_obj(*args, **kwargs)`` as compact JSON text."""
-        return json.dumps(self.to_json_obj(*args, **kwargs), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_json_obj(json.loads(text))
-
 
 class PolyZZbar(_Coeffs):
     """Polynomial in (z, zbar) with complex double coefficients."""
@@ -359,12 +372,13 @@ class PolyZZbar(_Coeffs):
 
     @classmethod
     def monomial(cls, a: int, b: int, c: Scalar = 1.0) -> "PolyZZbar":
-        if a < 0 or b < 0:
-            raise ValueError(f"exponents must be nonnegative, got {(a, b)}")
+        index = _int_key((a, b))
+        if index is None:
+            raise ValueError(f"exponents must be nonnegative integers, got {(a, b)}")
         c = complex(c)
         if c == 0:
             return _wrap(cls, _EMPTY)
-        arr = np.zeros((int(a) + 1, int(b) + 1), dtype=complex)
+        arr = np.zeros((index[0] + 1, index[1] + 1), dtype=complex)
         arr[-1, -1] = c
         return _wrap(cls, arr)
 
@@ -398,26 +412,18 @@ class PolyZZbar(_Coeffs):
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: "PolyZZbar" | Scalar) -> "PolyZZbar":
-        if isinstance(other, (int, float, complex)):
-            other = PolyZZbar.constant(other)
+    def __add__(self, other: "PolyZZbar") -> "PolyZZbar":
         if not isinstance(other, PolyZZbar):
             return NotImplemented
         return _wrap(PolyZZbar, _sum(self._c, other._c))
 
-    def __radd__(self, other: Scalar) -> "PolyZZbar":
-        return self + other
-
     def __neg__(self) -> "PolyZZbar":
         return _wrap(PolyZZbar, _on_nonzero(np.negative, self._c))
 
-    def __sub__(self, other: "PolyZZbar" | Scalar) -> "PolyZZbar":
+    def __sub__(self, other: "PolyZZbar") -> "PolyZZbar":
         if not isinstance(other, PolyZZbar):
-            other = PolyZZbar.constant(other)
+            return NotImplemented
         return _wrap(PolyZZbar, _sum(self._c, other._c, np.subtract))
-
-    def __rsub__(self, other: Scalar) -> "PolyZZbar":
-        return PolyZZbar.constant(other) - self
 
     def __mul__(self, other: "PolyZZbar" | Scalar) -> "PolyZZbar":
         if isinstance(other, (int, float, complex)):
@@ -524,12 +530,12 @@ class PolyWWbar:
         self._n_slots = int(n_slots)
         out: dict[tuple[int, ...], complex] = {}
         for key, c in (terms or {}).items():
-            key = tuple(int(e) for e in key)
-            if len(key) != 2 * self._n_slots or any(e < 0 for e in key):
+            index = _int_key(key)
+            if index is None or len(index) != 2 * self._n_slots:
                 raise ValueError(f"bad exponent tuple {key} for n_slots={n_slots}")
             c = complex(c)
             if c != 0:
-                out[key] = c
+                out[index] = c
         self._terms = MappingProxyType(out)
 
     @classmethod
@@ -543,20 +549,6 @@ class PolyWWbar:
     @classmethod
     def constant(cls, c: Scalar, n_slots: int = 1) -> "PolyWWbar":
         return cls(n_slots, {(0,) * (2 * n_slots): complex(c)})
-
-    @classmethod
-    def slot(cls, i: int, n_slots: int = 1) -> "PolyWWbar":
-        """The coordinate polynomial w_i."""
-        key = [0] * (2 * n_slots)
-        key[2 * i] = 1
-        return cls(n_slots, {tuple(key): 1.0})
-
-    @classmethod
-    def slotbar(cls, i: int, n_slots: int = 1) -> "PolyWWbar":
-        """The conjugate coordinate polynomial wbar_i."""
-        key = [0] * (2 * n_slots)
-        key[2 * i + 1] = 1
-        return cls(n_slots, {tuple(key): 1.0})
 
     @property
     def n_slots(self) -> int:
@@ -729,10 +721,8 @@ class MonomialTable:
             self._monomials[key] = self._monomial(head) * power if any(head) else power
         return self._monomials[key]
 
-    def compose(self, outer: PolyWWbar | PolyZZbar) -> PolyZZbar:
+    def compose(self, outer: PolyWWbar) -> PolyZZbar:
         """outer(phi_1, ..., phi_n) as sum c * monomial, summed in one array."""
-        if isinstance(outer, PolyZZbar):
-            outer = PolyWWbar._unchecked(1, dict(outer.terms))
         if outer.n_slots != self.n_slots:
             raise ValueError(
                 f"outer has {outer.n_slots} slots but {self.n_slots} inner polynomials given"
@@ -742,14 +732,13 @@ class MonomialTable:
         )
 
 
-def compose(outer: PolyWWbar | PolyZZbar, inner) -> PolyZZbar:
+def compose(outer: PolyWWbar, inner: PolyZZbar | Sequence[PolyZZbar]) -> PolyZZbar:
     """Exact polynomial composition outer(phi_1, ..., phi_n).
 
     ``inner`` is a PolyZZbar (single slot) or a sequence of them, one per slot
     of ``outer``; each wbar_i is substituted by the conjugate polynomial of
     phi_i, so eval(compose(F, phi), w) == F.eval([phi.eval(w), ...]) for all w.
-    A PolyZZbar outer is accepted as the single-slot case with w = z.  Several
-    compositions over the same inner vector share work through one
+    Several compositions over the same inner vector share work through one
     :class:`MonomialTable`.
     """
     return MonomialTable(inner).compose(outer)

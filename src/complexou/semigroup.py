@@ -62,10 +62,6 @@ class PropagatorParams:
             math.sqrt(max(0.0, 1.0 - math.exp(-2.0 * self.t * self.params.cos_theta))),
         )
 
-    @property
-    def theta(self) -> float:
-        return self.params.theta
-
     def transition_moments(self, x0: complex) -> tuple[complex, float]:
         """Mean decay x0 and variance E|Z_t - mean|^2 = 2 noise_std^2 of Z_t from x0."""
         return self.decay * x0, 2.0 * self.noise_std**2

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -925,39 +926,74 @@ class TestBranchParser:
         assert cli.build_parser() is not cli.build_parser()
 
 
+PACKAGE = Path(complexou.__file__).parent
+
+
+def function_name(code) -> str:
+    """``module.qualname`` of a code object, the module named by its file."""
+    return f"{Path(code.co_filename).stem}.{code.co_qualname}"
+
+
+def defined_functions() -> set[str]:
+    """The ``module.qualname`` of every function and method written in the
+    package's sources, nested ones included.  Lambdas, comprehensions and
+    class bodies are left out, and so are dataclass-generated methods, which
+    have no source."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        while stack:
+            for const in stack.pop().co_consts:
+                if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):
+                    stack.append(const)
+                    if const.co_flags & inspect.CO_NEWLOCALS:  # not a class body
+                        names.add(function_name(const))
+    return names
+
+
+def call_main(argv) -> int:
+    """main(argv)'s exit code; the whole tree's --help exits from argparse."""
+    if argv == ["--help"]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        return exit_info.value.code
+    return main(argv)
+
+
 def run_profiled(argvs):
     """main(argv) for each argv under sys.setprofile: the exit codes, the
-    text written to stdout and to stderr, and the names of the functions in
-    ``complexou.__all__`` whose code never ran.  A function behind
-    lru_cache may answer from its cache and open no frame, so its calls are
-    read from its cache statistics."""
-    functions = {}
-    for name in complexou.__all__:
-        obj = getattr(complexou, name)
-        if inspect.isfunction(getattr(obj, "__wrapped__", obj)):
-            functions[name] = obj
-    names = {getattr(fn, "__wrapped__", fn).__code__: name for name, fn in functions.items()}
+    text written to stdout and to stderr, and the names
+    (:func:`defined_functions`) of the functions whose code never ran.  A
+    function behind lru_cache may answer from its cache and open no frame,
+    so its calls are read from its cache statistics."""
+    cached = {
+        function_name(obj.__wrapped__.__code__): obj
+        for name, module in list(sys.modules.items()) if name.partition(".")[0] == "complexou"
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_info") and inspect.isfunction(getattr(obj, "__wrapped__", None))
+    }
 
     def lookups(fn):
         info = fn.cache_info()
         return info.hits + info.misses
 
-    cached = {name: lookups(fn) for name, fn in functions.items() if hasattr(fn, "cache_info")}
-    ran = set()
+    before = {name: lookups(fn) for name, fn in cached.items()}
+    seen = set()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in names:
-            ran.add(names[frame.f_code])
+        if event == "call":
+            seen.add(frame.f_code)
 
     out, err = io.StringIO(), io.StringIO()
     sys.setprofile(profile)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            codes = [main(argv) for argv in argvs]
+            codes = [call_main(argv) for argv in argvs]
     finally:
         sys.setprofile(None)
-    ran.update(name for name, count in cached.items() if lookups(functions[name]) > count)
-    return codes, out.getvalue(), err.getvalue(), set(functions) - ran
+    ran = {function_name(code) for code in seen if Path(code.co_filename).parent == PACKAGE}
+    ran.update(name for name, fn in cached.items() if lookups(fn) > before[name])
+    return codes, out.getvalue(), err.getvalue(), defined_functions() - ran
 
 
 @pytest.fixture(scope="module")
@@ -966,8 +1002,9 @@ def umbrella():
     return run_profiled([["verify-all", "--paths", "2000", "--pretty"]])
 
 
-# one valid call of every command but verify-all, and one more for each
-# choice of route or scheme; {input} is a coefficients file
+# one valid call of every command but verify-all, one more for each choice of
+# route or scheme and for the CSV output, and the whole tree's help; {input}
+# is a coefficients file and {csv} a path to write
 COMMAND_CALLS = [
     ["hermite", "show", "--m", "2", "--n", "1"],
     ["hermite", "show", "--m", "2", "--n", "1", "--route", "creation"],
@@ -984,15 +1021,52 @@ COMMAND_CALLS = [
     ["sde", "simulate", "--theta", "0.3", "--t", "1", "--paths", "10"],
     ["sde", "simulate", "--theta", "0.3", "--t", "1", "--paths", "10", "--scheme", "euler",
      "--dt", "0.5"],
+    ["sde", "simulate", "--theta", "0.3", "--t", "1", "--paths", "10", "--csv", "{csv}"],
     ["sde", "stationarity", "--theta", "0.3", "--paths", "100"],
     ["quad", "selftest", "--order", "10"],
+    ["--help"],
 ]
 
-# the exports that no suite and no command reaches (ROADMAP item 8)
-UNREACHED = [
-    "apply_generator_spectral", "domain_seminorm_sq", "euler_halving_probe",
-    "hermite_product_poly", "project",
-]
+_BENCH = "perfbench/ names it, so it waits on the benchmark change (ROADMAP item 1)"
+_WWBAR = "called only by the PolyWWbar arithmetic, which waits on ROADMAP item 1"
+_PROTOCOL = "object protocol a user needs"
+
+# every function and method in the package that no suite and no command
+# reaches, with the reason it stays (ROADMAP items 1 and 6-11); one that a
+# route starts to call leaves, one that every route drops joins
+UNREACHED = {
+    "poly.PolyWWbar.__add__": _BENCH,
+    "poly.PolyWWbar.__neg__": _BENCH,
+    "poly.PolyWWbar.__sub__": _BENCH,
+    "poly.PolyWWbar.__mul__": _BENCH,
+    "poly.PolyWWbar.__pow__": _BENCH,
+    "poly.PolyWWbar.constant": _WWBAR,
+    "poly.PolyWWbar._check_compatible": _WWBAR,
+    "spectral.SpectralCoeffs.__add__": _BENCH,
+    "spectral.SpectralCoeffs.__sub__": _BENCH,
+    "spectral.SpectralCoeffs.__mul__": _BENCH,
+    "spectral.SpectralCoeffs.map_terms": _BENCH,
+    "sde.StationarityReport.passed": _BENCH,
+    "quadrature.QuadratureRule.order": _BENCH,
+    "sde.euler_halving_probe": _BENCH,
+    "quadrature.project": "the quadrature route of the expansion (ROADMAP items 6 and 9)",
+    "operator.apply_generator_spectral": "a route of generator-parseval (ROADMAP item 7)",
+    "operator.domain_seminorm_sq": "a route of generator-parseval (ROADMAP item 7)",
+    "spectral.SpectralCoeffs.norm_sq": "a route of generator-parseval (ROADMAP item 7)",
+    "hermite.hermite_product_poly": "the product route of basis-transform (ROADMAP item 8)",
+    "poly.PolyZZbar.__truediv__":
+        "hermite._hermite_rows divides a polynomial row by sqrt(k + 1) in "
+        "hermite_product_poly (ROADMAP item 8)",
+    "poly.PolyWWbar.__init__": _PROTOCOL + ": the validating constructor",
+    "poly.PolyWWbar.__eq__": _PROTOCOL,
+    "poly.PolyWWbar.__repr__": _PROTOCOL,
+    "poly.PolyZZbar.__eq__": _PROTOCOL,
+    "poly.PolyZZbar.__repr__": _PROTOCOL,
+    "poly._Coeffs.__eq__": _PROTOCOL,
+    "spectral.SpectralCoeffs.__repr__": _PROTOCOL,
+    "poly._Coeffs.coeff": _PROTOCOL + "; the tests read coefficients through it",
+    "cli._int_at_least": "builds the option types when cli is imported, before any command",
+}
 
 
 class TestVerifyAll:
@@ -1010,16 +1084,16 @@ class TestVerifyAll:
         assert "PASS" in err
 
     def test_exports_no_route_reaches(self, umbrella, tmp_path):
-        # a function that joins a suite or a command leaves UNREACHED; one
-        # that every route drops joins it
-        words = {tuple(argv[:2]) for argv in COMMAND_CALLS}
+        words = {tuple(argv[:2]) for argv in COMMAND_CALLS if argv != ["--help"]}
         assert words == {cmd.words for cmd in cli.COMMANDS if cmd.words != ("verify-all",)}
-        coeffs = tmp_path / "coeffs.json"
+        coeffs, paths = tmp_path / "coeffs.json", tmp_path / "paths.csv"
         coeffs.write_text(json.dumps([{"m": 1, "n": 0, "re": 1.0, "im": 0.0}]))
-        argvs = [[arg.format(input=coeffs) for arg in argv] for argv in COMMAND_CALLS]
+        argvs = [[arg.format(input=coeffs, csv=paths) for arg in argv] for argv in COMMAND_CALLS]
         codes, _, _, left_out = run_profiled(argvs)
         assert codes == [0] * len(argvs)
-        assert sorted(umbrella[3] & left_out) == UNREACHED
+        assert paths.read_text().startswith("path_id,t,re,im")
+        assert umbrella[3] & left_out == set(UNREACHED)
+        assert all(UNREACHED.values())
 
 
 class TestNanResidual:

@@ -5,6 +5,7 @@ value.
 """
 
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from complexou import (
     synthesize,
 )
 from complexou import checks, hermite
+from complexou.cli import _json_text
 from complexou.hermite import MAX_CREATION_DEGREE, MAX_TRANSFORM_DEGREE
 from complexou.spectral import MAX_TOTAL_DEGREE
 
@@ -318,11 +320,11 @@ class TestCorrectlyRoundedCoefficients:
 
 def test_spectral_coeffs_json_roundtrip():
     coeffs = SpectralCoeffs({(1, 0): 1.0 + 2.0j, (0, 2): -0.5})
-    text = coeffs.to_json(theta=0.25)
-    back, theta = SpectralCoeffs.from_json(text)
+    text = _json_text(coeffs.to_json_obj(theta=0.25))
+    back, theta = SpectralCoeffs.from_json_obj(json.loads(text))
     assert back == coeffs
     assert theta == 0.25
-    back, theta = SpectralCoeffs.from_json(coeffs.to_json())
+    back, theta = SpectralCoeffs.from_json_obj(json.loads(_json_text(coeffs.to_json_obj())))
     assert back == coeffs and theta is None
 
 

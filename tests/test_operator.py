@@ -325,18 +325,19 @@ class TestDiffusionChainRule:
     def test_identity_outer_degenerates(self):
         rng = np.random.default_rng(89)
         phi = random_poly(rng, 4)
-        lhs, rhs = chain_rule_sides(GeneratorParams(math.pi / 6), PolyWWbar.slot(0), phi)
+        identity = PolyWWbar(1, {(1, 0): 1.0})
+        lhs, rhs = chain_rule_sides(GeneratorParams(math.pi / 6), identity, [phi])
         assert (lhs - rhs).max_abs_coeff() == 0.0
 
     def test_modulus_squared_outer(self):
-        outer = PolyWWbar.slot(0) * PolyWWbar.slotbar(0)
-        lhs, rhs = chain_rule_sides(GeneratorParams(0.0), outer, PolyZZbar.z())
+        outer = PolyWWbar(1, {(1, 1): 1.0})
+        lhs, rhs = chain_rule_sides(GeneratorParams(0.0), outer, [PolyZZbar.z()])
         assert lhs == PolyZZbar({(0, 0): 4.0, (1, 1): -2.0})
         assert (lhs - rhs).max_abs_coeff() <= 1e-14
 
     def test_square_outer_on_basis_element(self):
-        outer = PolyWWbar.slot(0) ** 2
-        lhs, rhs = chain_rule_sides(GeneratorParams(math.pi / 4), outer, complex_hermite(1, 0))
+        outer = PolyWWbar(1, {(2, 0): 1.0})
+        lhs, rhs = chain_rule_sides(GeneratorParams(math.pi / 4), outer, [complex_hermite(1, 0)])
         assert (lhs - rhs).max_abs_coeff() <= 1e-9
 
     def test_random_cases_two_slots(self):
@@ -355,4 +356,5 @@ class TestDiffusionChainRule:
 
     def test_slot_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            chain_rule_sides(GeneratorParams(0.0), PolyWWbar.slot(0, 2), PolyZZbar.z())
+            w0 = PolyWWbar(2, {(1, 0, 0, 0): 1.0})
+            chain_rule_sides(GeneratorParams(0.0), w0, [PolyZZbar.z()])

@@ -77,7 +77,7 @@ class TestPropagatorParams:
     def test_adjoint_flips_angle_and_keeps_time(self):
         p = PropagatorParams(GeneratorParams(math.pi / 3), 0.7)
         q = adjoint_semigroup(p)
-        assert q.theta == -math.pi / 3
+        assert q.params.theta == -math.pi / 3
         assert q.t == 0.7
         assert adjoint_semigroup(q) == p
         sym = PropagatorParams(GeneratorParams(0.0), 0.7)
@@ -410,4 +410,4 @@ class TestGaussianRotation:
     def test_requires_two_slots(self):
         p = PropagatorParams(GeneratorParams(0.0), 1.0)
         with pytest.raises(ValueError):
-            gaussian_rotation_residual(p, PolyWWbar.slot(0), gauss_hermite_rule(4))
+            gaussian_rotation_residual(p, PolyWWbar(1, {(1, 0): 1.0}), gauss_hermite_rule(4))

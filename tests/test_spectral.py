@@ -24,6 +24,7 @@ from complexou import (
     eigenvalue,
     semigroup_spectral,
 )
+from complexou.cli import _json_text
 from complexou.operator import THETA_BOUND
 from complexou.spectral import MAX_TOTAL_DEGREE
 
@@ -110,15 +111,18 @@ class TestDenseAlgebra:
     @given(index_maps, st.one_of(st.none(), st.floats(-1.5, 1.5)))
     def test_json_round_trip_in_total_degree_order(self, x, theta):
         f = SpectralCoeffs(x)
-        obj = json.loads(f.to_json(theta))
+        obj = json.loads(_json_text(f.to_json_obj(theta)))
         keys = [(t["m"], t["n"]) for t in obj["coeffs"]]
         assert keys == sorted(nonzero(x), key=lambda k: (k[0] + k[1], k[0]))
         back, back_theta = SpectralCoeffs.from_json_obj(obj)
         assert back == f and back_theta == theta
 
     def test_negative_indices_rejected(self):
-        with pytest.raises(ValueError, match="indices must be nonnegative"):
-            SpectralCoeffs({(0, -1): 1.0})
+        # and non-integer ones: a float index was once truncated, so
+        # {(0.9, 1): 2.0} landed on (0, 1)
+        for key in [(0, -1), (0.9, 1), (1, 1.0), (False, 1)]:
+            with pytest.raises(ValueError, match="indices must be nonnegative integers"):
+                SpectralCoeffs({key: 1.0})
 
     @pytest.mark.parametrize(
         "entry",
