@@ -83,7 +83,10 @@ class CheckReport:
         """The report of a suite whose max_residual is ``poly._worst(residuals)``
         (NaN if any is NaN, which fails) and that passes when it is <= tol and
         ``ok`` holds.  A generator is drained here: its draws come last.  A
-        suite with no residual checked nothing, which raises ValueError."""
+        suite with no residual checked nothing, and a tol that is not >= 0
+        (negative or NaN) judges nothing; both raise ValueError."""
+        if not tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {tol!r}")
         residuals = list(residuals)
         if not residuals:
             raise ValueError(f"suite {name} has no residual: it checked nothing")

@@ -144,19 +144,13 @@ def _cmd_operator_gamma(cmd, args) -> dict:
 # -- semigroup -------------------------------------------------------------------
 
 
-def _read_coeffs(path: str) -> tuple[SpectralCoeffs, float | None]:
-    if path == "-":
+def _cmd_semigroup_apply(cmd, args) -> dict:
+    if args.input == "-":
         obj = json.load(sys.stdin)
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8") as fh:
             obj = json.load(fh)
-    if isinstance(obj, list):
-        obj = {"coeffs": obj}
-    return SpectralCoeffs.from_json_obj(obj)
-
-
-def _cmd_semigroup_apply(cmd, args) -> dict:
-    coeffs, file_theta = _read_coeffs(args.input)
+    coeffs, file_theta = SpectralCoeffs.from_json_obj(obj)
     theta = args.theta if args.theta is not None else file_theta
     if theta is None:
         raise ValueError("theta not given (neither --theta nor a theta field in the input)")
@@ -405,12 +399,7 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of the whole command tree."""
-    return _build_parser()
-
-
-def _build_parser(words=None) -> argparse.ArgumentParser | None:
+def build_parser(words=None) -> argparse.ArgumentParser | None:
     """The parser of the whole tree, or with ``words``, the first two words of a
     command line, of the one branch they name (None if they name no command).
 
@@ -473,7 +462,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # Building only the named command's branch costs a fraction of the whole
     # tree; anything else (help, a missing or unknown command) gets the tree.
-    parser = _build_parser(argv[:2]) or build_parser()
+    parser = build_parser(argv[:2]) or build_parser()
     args = parser.parse_args(argv)
     try:
         # an overflow shows as a non-finite result below, not as a warning

@@ -36,8 +36,8 @@ Both :class:`PolyZZbar` and :class:`~.spectral.SpectralCoeffs` (basis
 expansions) are :class:`_Coeffs`: the base owns the array, its construction
 from a term map whose keys must be pairs of nonnegative integers
 (:func:`_int_key`, as for :class:`PolyWWbar`), the cached ``terms``, exact
-equality and the JSON entries, read back with every index, duplicate, degree
-and number checked.  The
+equality and the JSON entries it writes; only
+:meth:`~.spectral.SpectralCoeffs.from_json_obj` reads such entries back.  The
 module-level array helpers (``_sum``, ``_times``, ``_wrap``) serve both;
 ``_lincomb`` sums a linear combination of such arrays in one array, for
 compositions and basis sums.
@@ -218,12 +218,6 @@ def _worst(values) -> float:
     return float(np.max(np.fromiter(values, float), initial=0.0))
 
 
-# Largest total degree m + n of the basis (the explicit J[m,n] formula and
-# every coefficient file); it also bounds the dense array a file fills.  A
-# polynomial file may reach twice it, the degree of a product of two literals.
-MAX_TOTAL_DEGREE = 64
-
-
 def _int_key(key) -> tuple[int, ...] | None:
     """key as a tuple of Python ints, or None unless each entry is a
     nonnegative integer: a Python or numpy int (``operator.index``), not a
@@ -241,30 +235,18 @@ def _int_key(key) -> tuple[int, ...] | None:
     return None if bool in map(type, key) or min(out) < 0 else out
 
 
-def _number(v, name: str) -> float:
-    """v as a float; ValueError unless v is a number (not a bool) in float range."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{name} must be a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError as exc:
-        raise ValueError(f"{name} is out of the float range") from exc
-
-
 class _Coeffs:
     """Coefficients indexed by (i, j) >= 0, stored as one trimmed, read-only
     2-D complex array whose entry ``[i, j]`` is the coefficient of (i, j).
 
     A subclass names its two indices (``_INDEX``, also its JSON keys), the
-    word for them in errors (``_WHAT``), the cap on i + j that its JSON reader
-    enforces (``_MAX_DEGREE``), and its ``items_sorted`` order, which is the
-    order of its JSON entries.
+    word for them in errors (``_WHAT``), and its ``items_sorted`` order, which
+    is the order of its JSON entries.
     """
 
     __slots__ = ("_c", "_terms")
     _INDEX: tuple[str, str]
     _WHAT: str
-    _MAX_DEGREE: int
 
     def __init__(self, terms: Mapping[tuple[int, int], complex] | None = None):
         entries = []
@@ -319,30 +301,6 @@ class _Coeffs:
         i, j = self._INDEX
         return [{i: a, j: b, "re": c.real, "im": c.imag} for (a, b), c in self.items_sorted()]
 
-    @classmethod
-    def from_json_obj(cls, entries: list):
-        """Parse the JSON form.  Both indices must be integers >= 0 with a sum
-        of at most ``_MAX_DEGREE``, each index pair may appear once, and re
-        and im must be numbers; anything else raises ValueError."""
-        if not isinstance(entries, list):
-            raise ValueError(f"coefficient input must be a list, got {type(entries).__name__}")
-        i, j = cls._INDEX
-        cap = cls._MAX_DEGREE
-        terms = {}
-        for t in entries:
-            if not isinstance(t, Mapping) or any(k not in t for k in (i, j, "re", "im")):
-                raise ValueError(f"each coefficient needs the keys {i}, {j}, re, im; got {t!r}")
-            a, b = t[i], t[j]
-            # type() rather than isinstance(): JSON true and false are bools, not indices
-            if not (type(a) is type(b) is int and a >= 0 and b >= 0 and a + b <= cap):
-                raise ValueError(
-                    f"{i} and {j} must be integers >= 0 with {i} + {j} <= {cap}; got {t!r}"
-                )
-            if (a, b) in terms:
-                raise ValueError(f"coefficient ({i}, {j}) = {(a, b)} given more than once")
-            terms[(a, b)] = complex(_number(t["re"], "re"), _number(t["im"], "im"))
-        return cls(terms)
-
 
 class PolyZZbar(_Coeffs):
     """Polynomial in (z, zbar) with complex double coefficients."""
@@ -350,7 +308,6 @@ class PolyZZbar(_Coeffs):
     __slots__ = ()
     _INDEX = ("a", "b")
     _WHAT = "exponents"
-    _MAX_DEGREE = 2 * MAX_TOTAL_DEGREE
 
     # -- constructors -------------------------------------------------------
 
@@ -393,11 +350,6 @@ class PolyZZbar(_Coeffs):
 
     def items_sorted(self) -> list[tuple[tuple[int, int], complex]]:
         return list(self.terms.items())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, float, complex)):
-            other = PolyZZbar.constant(other)
-        return super().__eq__(other)
 
     def __repr__(self) -> str:
         if not self._c.size:

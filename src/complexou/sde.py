@@ -92,7 +92,7 @@ class SimConfig:
         object.__setattr__(self, "t_grid", grid)
         if not grid or grid[0] != 0.0:
             raise ValueError("t_grid must start at 0.0 (the initial state is recorded)")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if any(not b > a for a, b in zip(grid, grid[1:])):  # a NaN fails too
             raise ValueError("t_grid must be strictly increasing")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")

@@ -9,17 +9,39 @@ trimmed so that its last row and column each hold a nonzero entry
 the basis is orthonormal, Parseval gives ``norm_sq() == sum |b[m,n]|**2`` for
 the squared L2(gamma) norm, and an operator that is diagonal in the basis is
 one elementwise product with its multiplier grid (:meth:`SpectralCoeffs.apply_diagonal`).
+The coefficient-file format is read in one place,
+:meth:`SpectralCoeffs.from_json_obj`, whose m + n the basis limit
+``MAX_TOTAL_DEGREE`` bounds.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .poly import MAX_TOTAL_DEGREE, _Coeffs, _number, _sum, _times, _wrap
+from .poly import _Coeffs, _sum, _times, _wrap
 
 Scalar = Union[int, float, complex]
+
+# Largest total degree m + n of the basis (the explicit J[m,n] formula and
+# every coefficient file); it also bounds the dense array a file fills.
+MAX_TOTAL_DEGREE = 64
+
+
+def _number(v, name: str) -> float:
+    """v as a float; ValueError unless v is a number (not a bool) in float
+    range and finite (Python's json reads NaN and Infinity)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{name} must be a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is out of the float range") from exc
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {v!r}")
+    return x
 
 
 class SpectralCoeffs(_Coeffs):
@@ -28,7 +50,6 @@ class SpectralCoeffs(_Coeffs):
     __slots__ = ()
     _INDEX = ("m", "n")
     _WHAT = "indices"
-    _MAX_DEGREE = MAX_TOTAL_DEGREE
 
     def items_sorted(self) -> list[tuple[tuple[int, int], complex]]:
         """Entries sorted by (m + n, m), the order used in serialized output."""
@@ -80,11 +101,28 @@ class SpectralCoeffs(_Coeffs):
         return obj
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping) -> tuple["SpectralCoeffs", float | None]:
-        """Parse the JSON form: "coeffs" is read as :meth:`_Coeffs.from_json_obj`
-        reads a list (m + n at most ``MAX_TOTAL_DEGREE``), and theta, if
-        given, must be a number; anything else raises ValueError."""
+    def from_json_obj(cls, obj) -> tuple["SpectralCoeffs", float | None]:
+        """Read a coefficient file's JSON: {"theta": optional, "coeffs": [...]}
+        or the bare list.  Each entry has the keys m, n, re, im: m and n are
+        integers >= 0 with m + n <= ``MAX_TOTAL_DEGREE``, each (m, n) appears
+        once, and re, im and theta are finite numbers; anything else raises
+        ValueError."""
+        if isinstance(obj, list):
+            obj = {"coeffs": obj}
         if not isinstance(obj, Mapping) or not isinstance(obj.get("coeffs"), list):
             raise ValueError('coefficient input needs a "coeffs" list')
-        coeffs, theta = super().from_json_obj(obj["coeffs"]), obj.get("theta")
-        return coeffs, (None if theta is None else _number(theta, "theta"))
+        terms = {}
+        for t in obj["coeffs"]:
+            if not isinstance(t, Mapping) or any(k not in t for k in ("m", "n", "re", "im")):
+                raise ValueError(f"each coefficient needs the keys m, n, re, im; got {t!r}")
+            m, n = t["m"], t["n"]
+            # type() rather than isinstance(): JSON true and false are bools, not indices
+            if not (type(m) is type(n) is int and m >= 0 and n >= 0 and m + n <= MAX_TOTAL_DEGREE):
+                raise ValueError(
+                    f"m and n must be integers >= 0 with m + n <= {MAX_TOTAL_DEGREE}; got {t!r}"
+                )
+            if (m, n) in terms:
+                raise ValueError(f"coefficient (m, n) = {(m, n)} given more than once")
+            terms[(m, n)] = complex(_number(t["re"], "re"), _number(t["im"], "im"))
+        theta = obj.get("theta")
+        return cls(terms), (None if theta is None else _number(theta, "theta"))

@@ -74,6 +74,15 @@ def test_report_requires_residual_and_tol():
     assert checks.CheckReport.within("suite", [0.0], 1.0, {}, ok=False).passed is False
 
 
+def test_report_needs_a_tol_of_at_least_zero():
+    # a negative or NaN tol is malformed input, not a verdict
+    for tol in (-1.0, -5e-324, math.nan):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            checks.CheckReport.within("suite", [0.0], tol, {})
+    for tol in (0.0, -0.0):
+        assert checks.CheckReport.within("suite", [0.0], tol, {}).passed is True
+
+
 @pytest.mark.parametrize("values, want", [
     ([], 0.0),
     ([0.25, 3.0, 1.5], 3.0),

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import complexou
-from complexou import PolyZZbar, checks, cli, hermite, sde
+from complexou import checks, cli, hermite, sde
 from complexou.cli import main
 from complexou.operator import THETA_BOUND, GeneratorParams
 from complexou.semigroup import PropagatorParams
@@ -146,8 +146,8 @@ class TestOperatorCommands:
     def test_gamma_of_literals_at_the_degree_limit_reads_back(self, capsys):
         code, out, _ = run_cli(capsys, "operator", "gamma", "--phi", "z^64", "--theta", "0.3")
         assert code == 0
-        gamma = PolyZZbar.from_json_obj(parse_envelope(out)["results"]["gamma"])
-        assert gamma.degree == 126
+        entries = parse_envelope(out)["results"]["gamma"]
+        assert max(t["a"] + t["b"] for t in entries) == 126
 
     def test_gamma_psi_defaults_to_phi(self, capsys):
         _, out_a, _ = run_cli(capsys, "operator", "gamma", "--phi", "z*zbar - 2")
@@ -692,6 +692,37 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('[{"m":0,"n":0,"re":NaN,"im":0}]', "re must be finite, got nan"),
+            ('[{"m":0,"n":0,"re":1,"im":-Infinity}]', "im must be finite, got -inf"),
+            ('{"theta":NaN,"coeffs":[]}', "theta must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_number_in_coefficient_file(self, capsys, tmp_path, monkeypatch,
+                                                   text, message):
+        # Python's json reads NaN and Infinity; the reader names the field
+        f = tmp_path / "bad.json"
+        f.write_text(text)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        for source in (str(f), "-"):
+            outcome = run_cli(capsys, "semigroup", "apply", "--t", "1", "--input", source)
+            assert outcome == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv", [("quad", "selftest"), ("hermite", "transform", "--degree", "2")]
+    )
+    def test_negative_tol_is_usage_error(self, capsys, argv):
+        # malformed input, not a verification failure: no envelope
+        for tol in ("-1", "-0.5"):
+            outcome = run_cli(capsys, *argv, "--tol", tol)
+            assert outcome == (2, "", f"error: tol must be >= 0, got {float(tol)!r}\n")
+        for tol in ("0", "-0.0"):
+            code, out, _ = run_cli(capsys, *argv, "--tol", tol)
+            assert code in (0, 1)
+            assert parse_envelope(out)["inputs"]["tol"] == 0.0
+
 
 def subcommands(parser):
     """The {name: parser} map of a parser's subcommands, or {} for a leaf."""
@@ -897,8 +928,8 @@ class TestBranchParser:
     def test_main_reads_and_prints_as_the_whole_tree(self, capsys, monkeypatch):
         branch = [self.outcome(capsys, argv) for argv, _ in self.CALLS]
         assert [code for code, _, _ in branch] == [code for _, code in self.CALLS]
-        whole = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda words=None: whole())
+        whole = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda words=None: whole())
         assert branch == [self.outcome(capsys, argv) for argv, _ in self.CALLS]
 
     def test_each_branch_formats_its_command_as_the_whole_tree(self):
@@ -909,7 +940,7 @@ class TestBranchParser:
                 [((group, name), p) for name, p in subcommands(group_parser).items()]
                 or [((group,), group_parser)]
             ):
-                node = cli._build_parser(list(words))
+                node = cli.build_parser(list(words))
                 for word in words:
                     node = subcommands(node)[word]
                 assert node.format_help() == leaf.format_help()
@@ -920,7 +951,7 @@ class TestBranchParser:
         "words", [[], ["hermite"], ["hermite", "bogus"], ["bogus", "show"], ["-h"], ["verify"]]
     )
     def test_no_branch_without_a_command(self, words):
-        assert cli._build_parser(words) is None
+        assert cli.build_parser(words) is None
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
@@ -1060,7 +1091,6 @@ UNREACHED = {
     "poly.PolyWWbar.__init__": _PROTOCOL + ": the validating constructor",
     "poly.PolyWWbar.__eq__": _PROTOCOL,
     "poly.PolyWWbar.__repr__": _PROTOCOL,
-    "poly.PolyZZbar.__eq__": _PROTOCOL,
     "poly.PolyZZbar.__repr__": _PROTOCOL,
     "poly._Coeffs.__eq__": _PROTOCOL,
     "spectral.SpectralCoeffs.__repr__": _PROTOCOL,

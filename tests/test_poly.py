@@ -33,9 +33,11 @@ ZBAR = PolyZZbar.zbar()
 ONE = PolyZZbar.constant(1.0)
 
 
-def json_roundtrip(p):
-    """p read back from the JSON text the command line writes of it."""
-    return PolyZZbar.from_json_obj(json.loads(_json_text(p.to_json_obj())))
+def json_entries(p):
+    """The ((a, b), coefficient) pairs, in order, of the JSON text the command
+    line writes of p."""
+    text = _json_text(p.to_json_obj())
+    return [((t["a"], t["b"]), complex(t["re"], t["im"])) for t in json.loads(text)]
 
 
 def int_poly(rng, max_degree, span=4):
@@ -367,7 +369,7 @@ class TestSerialization:
     def test_json_roundtrip(self):
         rng = np.random.default_rng(31)
         p = float_poly(rng, 6)
-        assert json_roundtrip(p) == p
+        assert json_entries(p) == list(p.terms.items())
 
     def test_json_is_sorted_and_byte_stable(self):
         p = PolyZZbar({(2, 0): 1.0, (0, 0): -2.0, (1, 1): 0.5j})
@@ -380,36 +382,13 @@ class TestSerialization:
         obj = PolyZZbar({(1, 1): 0.5 - 0.25j}).to_json_obj()
         assert obj == [{"a": 1, "b": 1, "re": 0.5, "im": -0.25}]
 
-    # the reader takes twice the basis limit: the degree of Gamma(phi, psi)
-    # for two literals at the limit
+    # the degree of Gamma(phi, psi) for two literals at the basis limit
     CAP = 2 * MAX_TOTAL_DEGREE
-
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            [{"a": 1.7, "b": 0, "re": 1.0, "im": 0.0}],
-            [{"a": 1, "b": True, "re": 1.0, "im": 0.0}],
-            [{"a": 0, "b": -1, "re": 1.0, "im": 0.0}],
-            [{"a": CAP, "b": 1, "re": 1.0, "im": 0.0}],
-            [{"a": 1, "b": 0, "re": 1.0, "im": 0.0}, {"a": 1, "b": 0, "re": 2.0, "im": 0.0}],
-            [{"a": 0, "b": 0, "re": "1.5", "im": 0.0}],
-            [{"a": 0, "b": 0, "re": 1.0, "im": None}],
-            [{"a": 0, "b": 0, "re": 1.0}],
-            {"a": 0, "b": 0, "re": 1.0, "im": 0.0},
-        ],
-        ids=[
-            "float exponent", "bool exponent", "negative exponent", "degree above cap",
-            "repeated pair", "string re", "null im", "missing im", "not a list",
-        ],
-    )
-    def test_json_rejects_malformed_input(self, obj):
-        with pytest.raises(ValueError):
-            PolyZZbar.from_json_obj(obj)
 
     def test_json_roundtrip_at_degree_cap(self):
         p = PolyZZbar({(self.CAP, 0): 1.5, (3, self.CAP - 3): -2j, (0, 0): 1.0})
         assert p.degree == self.CAP
-        assert json_roundtrip(p) == p
+        assert json_entries(p) == list(p.terms.items())
 
 
 def test_immutability():
@@ -527,7 +506,7 @@ class TestKernelProperties:
         ).map(PolyZZbar)
     )
     def test_json_roundtrip(self, p):
-        assert json_roundtrip(p) == p
+        assert json_entries(p) == list(p.terms.items())
         assert [(t["a"], t["b"]) for t in p.to_json_obj()] == sorted(p.terms)
 
     @PROPERTY

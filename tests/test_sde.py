@@ -45,6 +45,11 @@ class TestSimConfig:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             SimConfig(GeneratorParams(0.0), 1.0, (0.0, 1.0, 1.0), 10, SEED)
+        # a NaN time is not above the one before it: refused at construction
+        # for both schemes, not later by the sampler or by round()
+        for kw in ({}, {"scheme": "euler", "dt": 0.5}):
+            with pytest.raises(ValueError, match="t_grid must be strictly increasing"):
+                SimConfig(GeneratorParams(0.3), 1.0, (0.0, math.nan, 1.0), 10, SEED, **kw)
 
     def test_euler_needs_compatible_dt(self):
         with pytest.raises(ValueError):

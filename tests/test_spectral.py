@@ -116,6 +116,8 @@ class TestDenseAlgebra:
         assert keys == sorted(nonzero(x), key=lambda k: (k[0] + k[1], k[0]))
         back, back_theta = SpectralCoeffs.from_json_obj(obj)
         assert back == f and back_theta == theta
+        # a bare list is the "coeffs" of a file without theta
+        assert SpectralCoeffs.from_json_obj(obj["coeffs"]) == (f, None)
 
     def test_negative_indices_rejected(self):
         # and non-integer ones: a float index was once truncated, so
@@ -134,6 +136,9 @@ class TestDenseAlgebra:
             {"m": 0, "n": 0, "re": "1.5", "im": 0.0},
             {"m": 0, "n": 0, "re": 1.0, "im": False},
             {"m": 0, "n": 0, "re": 10**400, "im": 0.0},
+            {"m": 0, "n": 0, "re": 1.0, "im": None},
+            {"m": 0, "n": 0, "re": 1.0},
+            3.0,
         ],
     )
     def test_json_rejects_malformed_entries(self, entry):
@@ -147,6 +152,15 @@ class TestDenseAlgebra:
         for theta in ([1], "0.5", True):
             with pytest.raises(ValueError, match="theta"):
                 SpectralCoeffs.from_json_obj({"theta": theta, "coeffs": [entry]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"m": 0, "n": 0, "re": 1.0, "im": 0.0}, {"coeffs": {"m": 0}}, {"theta": 0.0}, "[]", None],
+        ids=["an entry", "coeffs not a list", "no coeffs", "a string", "null"],
+    )
+    def test_json_needs_a_coefficient_list(self, obj):
+        with pytest.raises(ValueError, match='needs a "coeffs" list'):
+            SpectralCoeffs.from_json_obj(obj)
 
 
 class TestDiagonalGrid:

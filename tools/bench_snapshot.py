@@ -25,7 +25,11 @@ as an error), since the test suite's time is an
 end-to-end measure too; the environment from the first report line (Python,
 numpy, scipy, the CPU, the thread cap and the git commit); and
 ``uncommitted``, the tracked files in which the measured checkout differs
-from that commit, so a snapshot of an uncommitted tree says so.  Diff two
+from that commit, so a snapshot of an uncommitted tree says so.  Every
+subprocess runs with ``PYTHONDONTWRITEBYTECODE=1``, so the first run writes
+no bytecode cache that the later ones read, and ``pycache`` records whether
+the measured ``src/complexou/`` held a ``__pycache__`` before the runs (a
+cache alone moves monte-carlo's ``peak_rss_mb`` and ``setup_s``).  Diff two
 snapshots only when one machine made both.  A speed-up claim still needs the
 alternating pairs of ``perfbench/compare.py``; two snapshots run one after the
 other share the host's drift.
@@ -44,6 +48,9 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+# the environment of every subprocess: no run writes a bytecode cache that a
+# later one would import from
+ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
 
 
 def run_once(root: Path, command: list[str], workload: str, seed: int, seconds: float,
@@ -52,7 +59,7 @@ def run_once(root: Path, command: list[str], workload: str, seed: int, seconds: 
     proc = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True, timeout=900,
+        cwd=root, env=ENV, capture_output=True, text=True, timeout=900,
     )
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -76,7 +83,7 @@ def uncommitted(root: Path) -> list[str]:
 
 def tier1(root: Path) -> dict:
     """Passed, failed and error counts and wall seconds of one Tier-1 run in ``root``."""
-    env = dict(os.environ)
+    env = dict(ENV)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     start = time.perf_counter()
     proc = subprocess.run(
@@ -97,7 +104,9 @@ def snapshot(root: Path, pr: int) -> dict:
     seconds = spec["run_seconds"]
     gated = [m["name"] for m in spec["end_to_end"]]
     out: dict = {"pr": pr, "command": spec["command"], "seconds": seconds, "runs": RUNS,
-                 "uncommitted": uncommitted(root), "workloads": {}}
+                 "uncommitted": uncommitted(root),
+                 "pycache": (root / "src" / "complexou" / "__pycache__").is_dir(),
+                 "workloads": {}}
     for w in spec["workloads"]:
         name = w["name"]
         untraced = [run_once(root, spec["command"], name, s, seconds, 0) for s in SEEDS]
