@@ -382,6 +382,34 @@ class TestSerialization:
         obj = PolyZZbar({(1, 1): 0.5 - 0.25j}).to_json_obj()
         assert obj == [{"a": 1, "b": 1, "re": 0.5, "im": -0.25}]
 
+    # A polynomial's entries, keyed m, n in place of a, b, are a coefficient
+    # file; its one reader, SpectralCoeffs.from_json_obj, refuses each of
+    # these with the message of the rule it breaks.
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([{"m": 1.7, "n": 0, "re": 1.0, "im": 0.0}], "m and n must be integers"),
+            ([{"m": 1, "n": True, "re": 1.0, "im": 0.0}], "m and n must be integers"),
+            ([{"m": 0, "n": -1, "re": 1.0, "im": 0.0}], "m and n must be integers"),
+            (
+                [{"m": MAX_TOTAL_DEGREE, "n": 1, "re": 1.0, "im": 0.0}],
+                f"m \\+ n <= {MAX_TOTAL_DEGREE}",
+            ),
+            (
+                [{"m": 1, "n": 0, "re": 1.0, "im": 0.0}, {"m": 1, "n": 0, "re": 2.0, "im": 0.0}],
+                "more than once",
+            ),
+            ([{"m": 0, "n": 0, "re": "1.5", "im": 0.0}], "re must be a number, got '1.5'"),
+        ],
+        ids=[
+            "float exponent", "bool exponent", "negative exponent", "degree above cap",
+            "repeated pair", "string re",
+        ],
+    )
+    def test_json_rejects_malformed_input(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            SpectralCoeffs.from_json_obj(obj)
+
     # the degree of Gamma(phi, psi) for two literals at the basis limit
     CAP = 2 * MAX_TOTAL_DEGREE
 
